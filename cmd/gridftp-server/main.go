@@ -12,7 +12,7 @@
 //	gridftp-server [-name siteA] [-user alice] [-password secret]
 //	               [-stripes N] [-selftest] [-oauth] [-verbose] [-metrics]
 //	               [-admin 127.0.0.1:9970] [-collector http://host/v1/spans]
-//	               [-fleet-push http://head/v1/metrics] [-fleet-instance name]
+//	               [-fleet-push http://head/v1/push] [-fleet-instance name]
 //	               [-profile-interval 10s] [-profile-retain 5m]
 //
 // With -admin, an HTTP admin plane (Prometheus /metrics, /healthz,
@@ -21,9 +21,10 @@
 // served on the given address and the process holds until
 // SIGINT/SIGTERM so the endpoints stay scrapeable.
 //
-// With -fleet-push, the server periodically pushes its metrics snapshot
-// (exemplars included) to a fleet federation head — a transfer-service
-// run with -fleet — which merges every instance's series into fleet-wide
+// With -fleet-push, the server periodically pushes one envelope — its
+// metrics snapshot (exemplars included), tenant table and profile
+// summary — to a fleet federation head (a transfer-service run with
+// -fleet), which merges every instance's series into fleet-wide
 // aggregates.
 package main
 
@@ -55,7 +56,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "dump the metrics/span snapshot on exit")
 	adminAddr := flag.String("admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
 	collectorURL := flag.String("collector", "", "push completed spans to this collector /v1/spans URL on exit")
-	fleetPush := flag.String("fleet-push", "", "push this server's metrics to a fleet head's /v1/metrics URL")
+	fleetPush := flag.String("fleet-push", "", "push this server's telemetry to a fleet head's /v1/push URL")
 	fleetInstance := flag.String("fleet-instance", "", "instance name for -fleet-push (default: -name)")
 	fleetPushInterval := flag.Duration("fleet-push-interval", time.Second, "push cadence for -fleet-push")
 	profileInterval := flag.Duration("profile-interval", 10*time.Second, "continuous profiler capture cadence (0 disables); runs when -admin or -fleet-push is set")
@@ -131,7 +132,7 @@ func run(name, user, password string, selftest, withOAuth bool, adminAddr string
 			}
 		})
 		// Full telemetry: time-series flight recorder, SLO alert engine,
-		// and the /debug/stream live feed.
+		// and the /debug/live SSE feed.
 		stopTelemetry := adm.EnableTelemetry(o, nil)
 		defer stopTelemetry()
 		if prof != nil {

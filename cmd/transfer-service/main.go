@@ -11,7 +11,7 @@
 //	                 [-concurrency 0] [-max-active 32] [-marker-interval 25ms]
 //	                 [-admin 127.0.0.1:9971] [-collector http://host/v1/spans]
 //	                 [-fleet] [-fleet-scrape name=url,...] [-fleet-bundle-dir dir]
-//	                 [-fleet-push http://head/v1/metrics] [-fleet-instance name]
+//	                 [-fleet-push http://head/v1/push] [-fleet-instance name]
 //	                 [-profile-interval 10s] [-profile-retain 5m]
 //	                 [-stall-timeout 0]
 //
@@ -27,7 +27,7 @@
 //
 // With -fleet (or -fleet-scrape / -fleet-bundle-dir), the admin plane
 // additionally acts as the fleet federation head: other processes push
-// their expfmt snapshots to /v1/metrics (see -fleet-push), the head
+// their telemetry envelopes to /v1/push (see -fleet-push), the head
 // merges them into fleet-wide aggregates under /fleet/metrics, and
 // firing fleet alerts capture diagnostic bundles into -fleet-bundle-dir.
 package main
@@ -67,10 +67,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "dump the metrics/span snapshot on exit")
 	adminAddr := flag.String("admin", "", "serve the HTTP admin plane on this address and hold until interrupted")
 	collectorURL := flag.String("collector", "", "push completed spans to this collector /v1/spans URL on exit")
-	fleetHead := flag.Bool("fleet", false, "act as the fleet federation head (requires -admin): accept pushes on /v1/metrics, serve /fleet/*")
+	fleetHead := flag.Bool("fleet", false, "act as the fleet federation head (requires -admin): accept pushes on /v1/push, serve /fleet/*")
 	fleetScrape := flag.String("fleet-scrape", "", "comma-separated name=url /metrics endpoints the fleet head scrapes (implies -fleet)")
 	fleetBundleDir := flag.String("fleet-bundle-dir", "", "directory for alert-triggered diagnostic bundles (implies -fleet)")
-	fleetPush := flag.String("fleet-push", "", "push this process's metrics to a fleet head's /v1/metrics URL")
+	fleetPush := flag.String("fleet-push", "", "push this process's telemetry to a fleet head's /v1/push URL")
 	fleetInstance := flag.String("fleet-instance", "transfer-service", "instance name for -fleet-push")
 	fleetPushInterval := flag.Duration("fleet-push-interval", time.Second, "push cadence for -fleet-push")
 	profileInterval := flag.Duration("profile-interval", 10*time.Second, "continuous profiler capture cadence (0 disables); runs when -admin or -fleet-push is set")
@@ -162,7 +162,7 @@ func run(opts runOptions, o *obs.Obs) error {
 
 	// Continuous profiler: always-on capture whenever anything can read
 	// it — the admin plane's /debug/profile/continuous or a fleet head
-	// via the pusher's /v1/profile summaries.
+	// via the profile summary in each push envelope.
 	var prof *profile.Profiler
 	if opts.profileInterval > 0 && (adminAddr != "" || opts.fleetPush != "") {
 		prof = profile.New(profile.Options{
@@ -214,7 +214,7 @@ func run(opts runOptions, o *obs.Obs) error {
 		fmt.Printf("admin plane: http://%s/\n", addr)
 
 		if opts.fleetHead {
-			// Federation head: accept expfmt pushes on /v1/metrics, scrape
+			// Federation head: accept push envelopes on /v1/push, scrape
 			// any configured peers, and serve fleet aggregates, alerts, and
 			// diagnostic bundles under /fleet/*.
 			fl := fleet.New(fleet.Options{
@@ -235,7 +235,7 @@ func run(opts runOptions, o *obs.Obs) error {
 			stopFleet := fl.Start()
 			defer stopFleet()
 			adm.SetFleet(fl.Handler())
-			fmt.Printf("fleet head: push to http://%s/v1/metrics, browse http://%s/fleet/metrics\n", addr, addr)
+			fmt.Printf("fleet head: push to http://%s/v1/push, browse http://%s/fleet/metrics\n", addr, addr)
 		}
 	}
 	if opts.fleetPush != "" {

@@ -62,7 +62,7 @@ type Server struct {
 	ready  map[string]Probe
 
 	// Telemetry plane (telemetry.go): the time-series recorder and alert
-	// engine behind /debug/timeseries, /alerts, and /debug/stream, plus
+	// engine behind /debug/timeseries, /alerts, and /debug/live, plus
 	// the SSE fan-out hub. heartbeat overrides the stream keepalive
 	// cadence (0 = default; tests shrink it).
 	rec       *tsdb.Recorder
@@ -71,7 +71,7 @@ type Server struct {
 	heartbeat time.Duration
 
 	// fleet is the federation head's HTTP plane (internal/obs/fleet),
-	// delegated to under /fleet/ and /v1/metrics; nil answers 503 so the
+	// delegated to under /fleet/ and /v1/; nil answers 503 so the
 	// admin plane keeps one shape whether or not this daemon federates.
 	fleet http.Handler
 
@@ -109,14 +109,12 @@ func New(o *obs.Obs) *Server {
 	s.mux.HandleFunc("/debug/events", s.handleEvents)
 	s.mux.HandleFunc("/debug/timeseries", s.handleTimeseries)
 	s.mux.HandleFunc("/debug/streams", s.handleStreams)
-	s.mux.HandleFunc("/debug/stream", s.handleStream)
+	s.mux.HandleFunc("/debug/live", s.handleStream)
 	s.mux.HandleFunc("/debug/series", s.handleSeries)
 	s.mux.HandleFunc("/tenants", s.handleTenants)
 	s.mux.HandleFunc("/alerts", s.handleAlerts)
 	s.mux.HandleFunc("/fleet/", s.handleFleet)
-	s.mux.HandleFunc("/v1/metrics", s.handleFleet)
-	s.mux.HandleFunc("/v1/profile", s.handleFleet)
-	s.mux.HandleFunc("/v1/tenants", s.handleFleet)
+	s.mux.HandleFunc("/v1/", s.handleFleet)
 	s.mux.HandleFunc("/debug/profile/continuous", s.handleProfileContinuous)
 	s.mux.HandleFunc("/debug/profile/continuous/top", s.handleProfileTop)
 	s.mux.HandleFunc("/debug/profile/continuous/diff", s.handleProfileDiff)
@@ -134,7 +132,7 @@ func New(o *obs.Obs) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // SetFleet mounts a fleet federation handler (internal/obs/fleet) under
-// /fleet/ and /v1/metrics. Nil unmounts; the routes then answer 503.
+// /fleet/ and /v1/. Nil unmounts; the routes then answer 503.
 func (s *Server) SetFleet(h http.Handler) {
 	s.mu.Lock()
 	s.fleet = h
@@ -334,13 +332,12 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /debug/events   event ring (JSON; ?n=50 ?type=transfer.)")
 	fmt.Fprintln(w, "  /alerts         SLO alert rules with live state (JSON)")
 	fmt.Fprintln(w, "  /debug/timeseries  recorded series (JSON; ?series= ?since=30s ?step=5s)")
-	fmt.Fprintln(w, "  /debug/stream   live SSE feed (metric deltas, events, alerts)")
+	fmt.Fprintln(w, "  /debug/live     live SSE feed (metric deltas, events, alerts)")
 	fmt.Fprintln(w, "  /debug/streams  per-stream wire telemetry / stream-health table (JSON; ?format=text)")
 	fmt.Fprintln(w, "  /debug/series   time-series lifecycle inventory (JSON; ?series= prefix)")
 	fmt.Fprintln(w, "  /tenants        per-DN top-K tenant attribution (JSON; ?k=)")
 	fmt.Fprintln(w, "  /fleet/         fleet federation plane (instances, metrics, timeseries, bundles, profile)")
-	fmt.Fprintln(w, "  /v1/metrics     fleet metric push ingest (POST, expfmt)")
-	fmt.Fprintln(w, "  /v1/tenants     fleet tenant-table push ingest (POST, JSON)")
+	fmt.Fprintln(w, "  /v1/push        fleet push ingest (POST, JSON envelope: metrics, tenants, profile)")
 	fmt.Fprintln(w, "  /debug/profile/continuous  continuous profiler windows (JSON; /top /diff /raw)")
 	fmt.Fprintln(w, "  /debug/pprof/   on-demand Go profiling (continuous history: /debug/profile/continuous)")
 }

@@ -6,7 +6,7 @@ package admin
 //	/debug/timeseries  recorded series as JSON (?series= prefix filter,
 //	                   ?since= RFC3339 or relative duration, ?step= rebucket)
 //	/alerts            every alert rule with live state, firing first
-//	/debug/stream      SSE live feed: metric deltas, new events, alert
+//	/debug/live        SSE live feed: metric deltas, new events, alert
 //	                   transitions, with heartbeats and slow-client eviction
 //
 // The endpoints answer 503 until SetTelemetry (usually via
@@ -38,13 +38,13 @@ type streamFrame struct {
 	id    int64
 }
 
-// streamBuffer is each /debug/stream client's channel depth. A client
+// streamBuffer is each /debug/live client's channel depth. A client
 // that falls this far behind the broadcast stream is evicted — the feed
 // is a live tail, not a reliable queue, and a stalled reader must not
 // block the eventlog tap that feeds it.
 const streamBuffer = 64
 
-// streamHub fans frames out to the connected /debug/stream clients.
+// streamHub fans frames out to the connected /debug/live clients.
 type streamHub struct {
 	mu      sync.Mutex
 	clients map[int]chan streamFrame
@@ -102,7 +102,7 @@ func jsonFrame(event string, v any) streamFrame {
 }
 
 // SetTelemetry installs the recorder and alert engine behind
-// /debug/timeseries, /alerts, and /debug/stream. Either may be nil; the
+// /debug/timeseries, /alerts, and /debug/live. Either may be nil; the
 // corresponding endpoints then answer 503.
 func (s *Server) SetTelemetry(rec *tsdb.Recorder, eng *tsdb.Engine) {
 	s.mu.Lock()
@@ -116,7 +116,7 @@ func (s *Server) telemetry() (*tsdb.Recorder, *tsdb.Engine) {
 	return s.rec, s.engine
 }
 
-// StreamClientCount reports the number of connected /debug/stream
+// StreamClientCount reports the number of connected /debug/live
 // clients (eviction and shutdown visibility for tests and operators).
 func (s *Server) StreamClientCount() int { return s.hub.count() }
 
@@ -279,7 +279,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"alerts": alerts, "active": len(eng.Active())})
 }
 
-// streamHeartbeat is the default keepalive cadence for /debug/stream;
+// streamHeartbeat is the default keepalive cadence for /debug/live;
 // tests shrink Server.heartbeat to observe it without waiting.
 const streamHeartbeat = 15 * time.Second
 

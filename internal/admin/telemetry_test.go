@@ -20,7 +20,7 @@ var tt0 = time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 func TestTelemetryEndpointsDisabled(t *testing.T) {
 	ts := httptest.NewServer(New(obs.Nop()).Handler())
 	defer ts.Close()
-	for _, path := range []string{"/debug/timeseries", "/alerts", "/debug/stream"} {
+	for _, path := range []string{"/debug/timeseries", "/alerts", "/debug/live"} {
 		if code, _, _ := get(t, ts, path); code != http.StatusServiceUnavailable {
 			t.Errorf("%s without telemetry: status %d, want 503", path, code)
 		}
@@ -126,7 +126,7 @@ func TestAlertsEndpoint(t *testing.T) {
 	}
 }
 
-// sseClient tails /debug/stream, recording event names and raw frames.
+// sseClient tails /debug/live, recording event names and raw frames.
 type sseClient struct {
 	mu     sync.Mutex
 	events []string
@@ -137,9 +137,9 @@ type sseClient struct {
 func startSSE(t *testing.T, ts *httptest.Server) *sseClient {
 	t.Helper()
 	c := &sseClient{done: make(chan struct{})}
-	resp, err := ts.Client().Get(ts.URL + "/debug/stream")
+	resp, err := ts.Client().Get(ts.URL + "/debug/live")
 	if err != nil {
-		t.Fatalf("GET /debug/stream: %v", err)
+		t.Fatalf("GET /debug/live: %v", err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		resp.Body.Close()
@@ -267,9 +267,9 @@ func TestStreamSlowClientEviction(t *testing.T) {
 	// handler, so the hub's view returns to zero.
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/debug/stream")
+	resp, err := ts.Client().Get(ts.URL + "/debug/live")
 	if err != nil {
-		t.Fatalf("GET /debug/stream: %v", err)
+		t.Fatalf("GET /debug/live: %v", err)
 	}
 	waitFor(t, "stream subscribed", func() bool { return s.StreamClientCount() == 1 })
 	resp.Body.Close()
@@ -341,7 +341,7 @@ func TestStreamLastEventIDResume(t *testing.T) {
 
 	// Reconnect having seen only the first event: the two missed events
 	// replay immediately, each with its id line.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/debug/stream", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/debug/live", nil)
 	req.Header.Set("Last-Event-ID", strconv.FormatInt(e1.Seq, 10))
 	resp, err := ts.Client().Do(req)
 	if err != nil {
@@ -405,7 +405,7 @@ func TestStreamLastEventIDResume(t *testing.T) {
 	}
 
 	// A malformed Last-Event-ID is a 400, not a silent full replay.
-	req2, _ := http.NewRequest(http.MethodGet, ts.URL+"/debug/stream", nil)
+	req2, _ := http.NewRequest(http.MethodGet, ts.URL+"/debug/live", nil)
 	req2.Header.Set("Last-Event-ID", "not-a-number")
 	resp2, err := ts.Client().Do(req2)
 	if err != nil {

@@ -4,12 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"gridftp.dev/instant/internal/obs"
-	"gridftp.dev/instant/internal/obs/fleet"
 	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
 )
@@ -61,33 +59,6 @@ func TestTenantsEndpoint(t *testing.T) {
 	}
 	if code, _, _ = get(t, ts, "/tenants?k=zero"); code != http.StatusBadRequest {
 		t.Fatalf("/tenants?k=zero = %d, want 400", code)
-	}
-}
-
-// TestTenantPushRouteForwardsToFleet: the pusher targets
-// /v1/tenants on the head's admin plane, which must forward to the
-// mounted fleet handler like /v1/metrics does (regression: the route
-// was missing and pushes 404ed).
-func TestTenantPushRouteForwardsToFleet(t *testing.T) {
-	s := New(obs.Nop())
-	fl := fleet.New(fleet.Options{Obs: obs.Nop()})
-	s.SetFleet(fl.Handler())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body := `[{"dn":"/CN=pusher","hash":"00000000","weight":10,"bytes":10}]`
-	resp, err := ts.Client().Post(
-		ts.URL+"/v1/tenants?instance=ep1", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("POST /v1/tenants via admin mux = %d, want 204", resp.StatusCode)
-	}
-	code, out, _ := get(t, ts, "/fleet/tenants")
-	if code != http.StatusOK || !strings.Contains(out, "/CN=pusher") {
-		t.Fatalf("GET /fleet/tenants = %d %q, want the pushed DN", code, out)
 	}
 }
 

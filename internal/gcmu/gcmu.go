@@ -51,9 +51,9 @@ type Options struct {
 	MarkerInterval time.Duration
 	// DataTimeout bounds GridFTP waits for data connections.
 	DataTimeout time.Duration
-	// Usage optionally connects the endpoint to a usage-stats sink (a
-	// fleet Collector, a MetricsSink, or a MultiSink of several).
-	Usage usagestats.Sink
+	// Usage optionally connects the endpoint to a fleet usage-stats
+	// collector.
+	Usage *usagestats.Collector
 	// Obs receives the endpoint's structured logs, metrics, and spans;
 	// it is passed through to the GridFTP server. Nil disables it.
 	Obs *obs.Obs
@@ -185,12 +185,7 @@ func Install(opts Options) (*Endpoint, error) {
 	ep.MyProxyAddr = mpAddr.String()
 	log.Info("install: myproxy up", "addr", ep.MyProxyAddr)
 
-	// 6. GridFTP server. When the endpoint carries an Obs bundle, its
-	// usage reports feed the metrics registry alongside any fleet sink.
-	var metricsSink usagestats.Sink
-	if opts.Obs != nil {
-		metricsSink = usagestats.MetricsSink(opts.Obs.Registry())
-	}
+	// 6. GridFTP server.
 	srv, err := gridftp.NewServer(opts.Host, gridftp.ServerConfig{
 		HostCred:       gridftpCred,
 		Trust:          trust,
@@ -199,7 +194,7 @@ func Install(opts Options) (*Endpoint, error) {
 		Banner:         fmt.Sprintf("GCMU GridFTP server on %s ready", opts.Name),
 		MarkerInterval: opts.MarkerInterval,
 		DataTimeout:    opts.DataTimeout,
-		Usage:          usagestats.MultiSink(opts.Usage, metricsSink),
+		Usage:          opts.Usage,
 		EndpointName:   opts.Name,
 		Obs:            opts.Obs,
 		Streams:        opts.Streams,

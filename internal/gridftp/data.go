@@ -426,9 +426,15 @@ func compactChannels(chans []*dataChannel) []*dataChannel {
 }
 
 // retire returns channels to the pool (MODE E with caching) or closes
-// them (stream mode, caching disabled, or failed transfer).
+// them (stream mode or caching disabled). A failed transfer closes them
+// and flushes the pool too.
 func (sess *session) retire(chans []*dataChannel, ok bool) {
-	if !ok || sess.spec.Mode != ModeExtended || sess.data.cacheDisabled || sess.srv.cfg.DisableChannelCache {
+	if !ok {
+		closeChannels(chans)
+		sess.data.flush()
+		return
+	}
+	if sess.spec.Mode != ModeExtended || sess.data.cacheDisabled || sess.srv.cfg.DisableChannelCache {
 		closeChannels(chans)
 		return
 	}
@@ -502,8 +508,7 @@ func (sess *session) handleRetr(params string, off, length int64) {
 		return
 	}
 	sess.reply(ftp.CodeFileStatusOK, fmt.Sprintf("Opening data connection for %s (%d bytes)", p, size))
-	sess.eventTransfer(eventlog.TransferStart, "RETR", p, size)
-	start := time.Now()
+	rec := sess.beginTransfer("RETR", p, size)
 	var sendErr error
 	if sess.spec.Mode == ModeExtended {
 		// Emit in-flight 112 performance markers (per-stripe bytes sent)
@@ -532,17 +537,9 @@ func (sess *session) handleRetr(params string, off, length int64) {
 		}
 		sendErr = sendStream(chans[0].sec, f, from, size, sess.spec.BlockSize)
 	}
-	if sendErr != nil {
-		closeChannels(chans)
-		sess.data.flush()
-		sess.observeTransfer(time.Since(start), false)
-		sess.eventAbort("RETR", p, sendErr)
-		sess.reply(ftp.CodeTransferAborted, errText(sendErr))
-		return
-	}
-	sess.retire(chans, true)
-	sess.reportUsage("RETR", p, totalLen(ranges), time.Since(start))
-	sess.reply(ftp.CodeClosingData, "Transfer complete")
+	sess.retire(chans, sendErr == nil)
+	rec.end(totalLen(ranges), sendErr)
+	sess.replyTransfer(sendErr)
 }
 
 // handleStor receives a file, emitting restart markers while it runs.
@@ -578,7 +575,6 @@ func (sess *session) handleStor(params string) {
 	}
 
 	sess.cmdSpan.SetAttr("path", p)
-	start := time.Now()
 	if sess.spec.Mode == ModeStream {
 		est := sess.cmdSpan.Child("gridftp.data.establish")
 		chans, err := sess.establishChannels(1)
@@ -589,21 +585,15 @@ func (sess *session) handleStor(params string) {
 			return
 		}
 		sess.reply(ftp.CodeFileStatusOK, "Opening data connection")
-		sess.eventTransfer(eventlog.TransferStart, "STOR", p, -1)
+		rec := sess.beginTransfer("STOR", p, -1)
 		offset := int64(0)
 		if len(restart) == 1 && restart[0].Start == 0 {
 			offset = restart[0].End
 		}
 		n, recvErr := recvStream(chans[0].sec, f, offset, sess.spec.BlockSize)
 		closeChannels(chans)
-		if recvErr != nil {
-			sess.observeTransfer(time.Since(start), false)
-			sess.eventAbort("STOR", p, recvErr)
-			sess.reply(ftp.CodeTransferAborted, errText(recvErr))
-			return
-		}
-		sess.reportUsage("STOR", p, n, time.Since(start))
-		sess.reply(ftp.CodeClosingData, "Transfer complete")
+		rec.end(n, recvErr)
+		sess.replyTransfer(recvErr)
 		return
 	}
 
@@ -691,7 +681,7 @@ func (sess *session) handleStor(params string) {
 	}
 
 	sess.reply(ftp.CodeFileStatusOK, "Opening data connection")
-	sess.eventTransfer(eventlog.TransferStart, "STOR", p, -1)
+	rec := sess.beginTransfer("STOR", p, -1)
 
 	stop := make(chan struct{})
 	markerDone := make(chan struct{})
@@ -735,17 +725,9 @@ func (sess *session) handleStor(params string) {
 	sealed = true
 	all := append(pooled[:pi:pi], fresh...)
 	freshMu.Unlock()
-	if res.Err != nil {
-		closeChannels(all)
-		sess.data.flush()
-		sess.observeTransfer(time.Since(start), false)
-		sess.eventAbort("STOR", p, res.Err)
-		sess.reply(ftp.CodeTransferAborted, errText(res.Err))
-		return
-	}
-	sess.retire(all, true)
-	sess.reportUsage("STOR", p, res.Received.Covered(), time.Since(start))
-	sess.reply(ftp.CodeClosingData, "Transfer complete")
+	sess.retire(all, res.Err == nil)
+	rec.end(res.Received.Covered(), res.Err)
+	sess.replyTransfer(res.Err)
 }
 
 func (sess *session) markerInterval() time.Duration {
@@ -810,70 +792,89 @@ func traceFields(kv []any, span *obs.Span) []any {
 	return kv
 }
 
-// eventTransfer records a transfer lifecycle event (size < 0 = unknown,
-// e.g. an inbound STOR whose length only the sender knows).
-func (sess *session) eventTransfer(typ, op, path string, size int64) {
-	kv := []any{"component", "gridftp-server", "session", sess.id,
-		"user", sess.localUser, "op", op, "path", path}
-	if size >= 0 {
-		kv = append(kv, "size", size)
+// transferRecord is one server transfer's completion record. It is begun
+// once, when the data transfer starts, and ended once with the outcome;
+// end is the only place a transfer reaches telemetry.
+type transferRecord struct {
+	sess  *session
+	op    string
+	path  string
+	start time.Time
+}
+
+// beginTransfer opens the record and emits the transfer-start event
+// (size < 0 = unknown, e.g. an inbound STOR whose length only the sender
+// knows).
+func (sess *session) beginTransfer(op, path string, size int64) transferRecord {
+	if o := sess.srv.cfg.Obs; o != nil {
+		kv := []any{"component", "gridftp-server", "session", sess.id,
+			"user", sess.localUser, "op", op, "path", path}
+		if size >= 0 {
+			kv = append(kv, "size", size)
+		}
+		o.EventLog().Append(eventlog.TransferStart, traceFields(kv, sess.cmdSpan)...)
 	}
-	sess.srv.cfg.Obs.EventLog().Append(typ, traceFields(kv, sess.cmdSpan)...)
+	return transferRecord{sess: sess, op: op, path: path, start: time.Now()}
 }
 
-func (sess *session) eventAbort(op, path string, err error) {
-	kv := []any{"component", "gridftp-server", "session", sess.id,
-		"user", sess.localUser, "op", op, "path", path, "err", err.Error()}
-	sess.srv.cfg.Obs.EventLog().Append(eventlog.TransferAbort, traceFields(kv, sess.cmdSpan)...)
-}
-
-// observeTransfer feeds the transfer latency histograms: the unlabeled
-// aggregate plus the ok|err outcome split. The command span's trace id
-// rides along as the bucket exemplar so a fleet-level latency alert can
-// name a representative transfer trace.
-func (sess *session) observeTransfer(dur time.Duration, ok bool) {
-	reg := sess.srv.cfg.Obs.Registry()
+// end closes the record with the transfer's outcome. A completed
+// transfer feeds the transfer and byte counters, the tenant's bytes, the
+// command span, the log, the event ring and the usage collector; both
+// outcomes feed the latency histograms, with the command span's trace id
+// as the bucket exemplar so a fleet latency alert can name a
+// representative transfer trace.
+func (r *transferRecord) end(bytes int64, err error) {
+	sess, cfg := r.sess, &r.sess.srv.cfg
+	dur := time.Since(r.start)
+	if err == nil {
+		if sess.identity != nil {
+			cfg.Tenants.BytesMoved(string(sess.identity.Identity), bytes)
+		}
+		cfg.Usage.Report(usagestats.TransferRecord{
+			Endpoint: cfg.EndpointName, User: sess.localUser, Op: r.op, Path: r.path,
+			Bytes: bytes, Duration: dur, When: time.Now(),
+		})
+	}
+	o := cfg.Obs
+	if o == nil {
+		return
+	}
+	reg := o.Registry()
 	var traceID string
 	if sess.cmdSpan != nil {
 		traceID = sess.cmdSpan.TraceID.String()
 	}
-	reg.Histogram("gridftp.server.transfer_seconds", obs.DefaultDurationBuckets).
-		ObserveExemplar(dur.Seconds(), traceID)
 	outcome := "outcome=ok"
-	if !ok {
+	if err != nil {
 		outcome = "outcome=err"
 	}
+	reg.Histogram("gridftp.server.transfer_seconds", obs.DefaultDurationBuckets).
+		ObserveExemplar(dur.Seconds(), traceID)
 	reg.Histogram(obs.Name("gridftp.server.transfer_seconds", outcome), obs.DefaultDurationBuckets).
 		ObserveExemplar(dur.Seconds(), traceID)
-}
-
-func (sess *session) reportUsage(op, path string, bytes int64, dur time.Duration) {
-	reg := sess.srv.cfg.Obs.Registry()
-	reg.Counter("gridftp.server.transfers_total").Inc()
-	reg.Counter(obs.Name("gridftp.server.bytes", op)).Add(bytes)
-	if sess.identity != nil {
-		sess.srv.cfg.Tenants.BytesMoved(string(sess.identity.Identity), bytes)
-	}
-	sess.observeTransfer(dur, true)
-	sess.cmdSpan.SetAttr("bytes", bytes)
-	sess.log.Info("transfer complete",
-		"op", op, "path", path, "bytes", bytes, "dur", dur.Round(time.Microsecond))
 	kv := []any{"component", "gridftp-server", "session", sess.id,
-		"user", sess.localUser, "op", op, "path", path,
-		"bytes", bytes, "dur", dur.Round(time.Microsecond).String()}
-	sess.srv.cfg.Obs.EventLog().Append(eventlog.TransferComplete, traceFields(kv, sess.cmdSpan)...)
-	if sess.srv.cfg.Usage == nil {
+		"user", sess.localUser, "op", r.op, "path", r.path}
+	if err != nil {
+		kv = append(kv, "err", err.Error())
+		o.EventLog().Append(eventlog.TransferAbort, traceFields(kv, sess.cmdSpan)...)
 		return
 	}
-	sess.srv.cfg.Usage.Report(usagestats.TransferRecord{
-		Endpoint: sess.srv.cfg.EndpointName,
-		User:     sess.localUser,
-		Op:       op,
-		Path:     path,
-		Bytes:    bytes,
-		Duration: dur,
-		When:     time.Now(),
-	})
+	reg.Counter("gridftp.server.transfers_total").Inc()
+	reg.Counter(obs.Name(obs.TransferBytesCounter, r.op)).Add(bytes)
+	sess.cmdSpan.SetAttr("bytes", bytes)
+	sess.log.Info("transfer complete",
+		"op", r.op, "path", r.path, "bytes", bytes, "dur", dur.Round(time.Microsecond))
+	kv = append(kv, "bytes", bytes, "dur", dur.Round(time.Microsecond).String())
+	o.EventLog().Append(eventlog.TransferComplete, traceFields(kv, sess.cmdSpan)...)
+}
+
+// replyTransfer sends a transfer's final reply: 226, or 426 with err.
+func (sess *session) replyTransfer(err error) {
+	if err != nil {
+		sess.reply(ftp.CodeTransferAborted, errText(err))
+		return
+	}
+	sess.reply(ftp.CodeClosingData, "Transfer complete")
 }
 
 // streamLabel names this session's current transfer in the stream-health

@@ -60,15 +60,10 @@ type ServerConfig struct {
 	// DataTimeout bounds waits for data connections (default 30s).
 	DataTimeout time.Duration
 	// Usage, if non-nil, receives per-transfer usage reports (the
-	// opt-in statistics stream behind the paper's Fig 1). Use
-	// usagestats.MultiSink to feed several sinks — e.g. the fleet
-	// collector plus a metrics registry — from one server.
-	Usage usagestats.Sink
+	// opt-in statistics stream behind the paper's Fig 1).
+	Usage *usagestats.Collector
 	// EndpointName identifies this server in usage reports.
 	EndpointName string
-	// Logf, if non-nil, receives debug logging (legacy hook; the
-	// structured Obs logger is the primary channel).
-	Logf func(format string, args ...any)
 	// Obs receives structured logs, metrics, and spans. Nil disables
 	// observability (all call sites degrade to no-ops).
 	Obs *obs.Obs
@@ -115,10 +110,6 @@ func NewServer(host *netsim.Host, cfg ServerConfig) (*Server, error) {
 	if cfg.Banner == "" {
 		cfg.Banner = "Instant GridFTP server ready"
 	}
-	// Normalize the usage sink: a typed nil (nil *Collector in the
-	// interface) must not survive past this point, or every transfer's
-	// report call would panic the session.
-	cfg.Usage = usagestats.MultiSink(cfg.Usage)
 	logger := cfg.Obs.Logger().With("component", "gridftp-server")
 	if cfg.EndpointName != "" {
 		logger = logger.With("endpoint", cfg.EndpointName)
@@ -162,12 +153,6 @@ func (s *Server) serveLoop(l net.Listener) {
 			return
 		}
 		go s.serveSession(conn)
-	}
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
 	}
 }
 
@@ -279,7 +264,7 @@ func (sess *session) reply(code int, lines ...string) {
 		sess.lastReplyCode = code
 	}
 	if err := sess.ctrl.WriteReply(code, lines...); err != nil {
-		sess.srv.logf("reply write failed: %v", err)
+		sess.log.Debug("reply write failed", "err", err)
 	}
 }
 
@@ -299,7 +284,6 @@ func (sess *session) loop() {
 		if err != nil {
 			return
 		}
-		sess.srv.logf("<- %s", cmd)
 		sess.log.Debug("command", "cmd", cmd.Name, "params", cmd.Params)
 		start := time.Now()
 		sess.beginCommandSpan(cmd)
@@ -387,7 +371,6 @@ func (sess *session) handleAuth(params string) bool {
 	raw.SetDeadline(time.Now().Add(30 * time.Second))
 	ev := sess.srv.cfg.Obs.EventLog()
 	if err := tc.Handshake(); err != nil {
-		sess.srv.logf("control handshake failed: %v", err)
 		sess.log.Warn("control handshake failed", "err", err)
 		ev.Append(eventlog.AuthFailure, "component", "gridftp-server",
 			"session", sess.id, "stage", "handshake", "err", err.Error())
@@ -396,7 +379,6 @@ func (sess *session) handleAuth(params string) bool {
 	raw.SetDeadline(time.Time{})
 	id, err := gsi.PeerIdentity(tc, sess.srv.cfg.Trust)
 	if err != nil {
-		sess.srv.logf("control peer verification failed: %v", err)
 		sess.log.Warn("control peer verification failed", "err", err)
 		ev.Append(eventlog.AuthFailure, "component", "gridftp-server",
 			"session", sess.id, "stage", "verify", "err", err.Error())

@@ -64,17 +64,16 @@ func (in *instanceSim) observe(col *collector.Collector) {
 	for _, d := range in.durs {
 		h.ObserveExemplar(d, traceID)
 	}
-	in.o.Registry().Counter("gridftp.server.bytes_in").Add(int64(1 << 20))
-	in.o.Registry().Gauge("transfer.active").Set(1)
+	in.o.Registry().Counter(obs.Name(obs.TransferBytesCounter, "STOR")).Add(int64(1 << 20))
+	in.o.Registry().Gauge("transfer.active_transfers").Set(1)
 	sp.End()
 	col.Add(collector.FromInfos(in.name, in.o.Tracer().Spans())...)
 }
 
-func (in *instanceSim) push(t *testing.T, url string) {
-	t.Helper()
-	if err := fleet.Push(url+"/v1/metrics", in.name, in.o.Registry()); err != nil {
-		t.Fatalf("push %s: %v", in.name, err)
-	}
+// push sends one envelope: a pusher whose interval never fires makes
+// exactly one final push on stop and waits for it.
+func (in *instanceSim) push(url string) {
+	fleet.StartPusher(url+"/v1/push", in.name, in.o, nil, time.Hour)()
 }
 
 func alertState(eng *tsdb.Engine, rule string) tsdb.State {
@@ -135,7 +134,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			if i == skip {
 				continue
 			}
-			in.push(t, ts.URL)
+			in.push(ts.URL)
 		}
 	}
 

@@ -1,14 +1,14 @@
 // Package fleet is the federation layer over per-process telemetry: one
-// service ingests metric snapshots from N gridftp/transfer processes
-// (expfmt pushes to POST /v1/metrics, or periodic scrapes of configured
-// /metrics URLs), keeps an instance registry keyed by instance name with
-// identity anchored in process.start_time_seconds, and merges the
-// per-instance series into fleet aggregates: counters summed across
-// restart epochs, gauges summed over live instances, histograms merged
-// bucket-wise so fleet p50/p90/p99 come from real pooled buckets. The
-// aggregates feed a fleet-level tsdb recorder and alert engine
-// (tsdb.DefaultFleetRules), and alert transitions trigger diagnostic
-// bundle capture (bundle.go). This is the pane the paper's managed-fleet
+// service ingests telemetry from N gridftp/transfer processes (one
+// versioned push envelope to POST /v1/push, or periodic scrapes of
+// configured /metrics URLs), keeps an instance registry keyed by
+// instance name with identity anchored in process.start_time_seconds,
+// and merges the per-instance series into fleet aggregates: counters
+// summed across restart epochs, gauges summed over live instances,
+// histograms merged bucket-wise so fleet p50/p90/p99 come from real
+// pooled buckets. The aggregates feed a fleet-level tsdb recorder and
+// alert engine (tsdb.DefaultFleetRules), and alert transitions trigger
+// diagnostic bundle capture (bundle.go). This is the pane the paper's managed-fleet
 // pitch implies and ROADMAP item 4's chaos harness asserts against.
 package fleet
 
@@ -22,6 +22,7 @@ import (
 	"gridftp.dev/instant/internal/obs"
 	"gridftp.dev/instant/internal/obs/collector"
 	"gridftp.dev/instant/internal/obs/expfmt"
+	"gridftp.dev/instant/internal/obs/tenant"
 	"gridftp.dev/instant/internal/obs/tsdb"
 )
 
@@ -39,17 +40,6 @@ type Options struct {
 	// ScrapeInterval is how often configured scrape targets are pulled
 	// (default 5s).
 	ScrapeInterval time.Duration
-	// GoodputCounters are the counter names whose summed rate is the
-	// fleet's goodput (default gridftp.server.bytes_in/bytes_out).
-	GoodputCounters []string
-	// ActiveGauges are the gauge names whose fleet sum gates the goodput
-	// floor: the deficit series is zero while the fleet is idle (default
-	// transfer.active, gridftp.server.active_transfers).
-	ActiveGauges []string
-	// GoodputFloor is the goodput SLO in bytes/sec; the
-	// fleet.goodput.deficit series carries max(0, floor−goodput) while
-	// the fleet is active. Zero disables the floor.
-	GoodputFloor float64
 	// Rules are the alert rules for the fleet engine (default
 	// tsdb.DefaultFleetRules).
 	Rules []tsdb.Rule
@@ -77,17 +67,6 @@ func (o Options) withDefaults() Options {
 	if o.ScrapeInterval <= 0 {
 		o.ScrapeInterval = 5 * time.Second
 	}
-	if len(o.GoodputCounters) == 0 {
-		o.GoodputCounters = []string{"gridftp.server.bytes_in", "gridftp.server.bytes_out"}
-	}
-	if len(o.ActiveGauges) == 0 {
-		o.ActiveGauges = []string{"transfer.active", "gridftp.server.active_transfers"}
-	}
-	// Ingested names are canonicalized to their wire form (dots become
-	// underscores on the Prometheus exposition); the lookups must live in
-	// the same namespace.
-	o.GoodputCounters = canonicalNames(o.GoodputCounters)
-	o.ActiveGauges = canonicalNames(o.ActiveGauges)
 	if o.Rules == nil {
 		o.Rules = tsdb.DefaultFleetRules()
 	}
@@ -97,11 +76,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// instanceState is one registered instance. Counters and histograms
-// accumulate across process restarts: when a push arrives with a new
-// process.start_time_seconds (or a counter that went backwards), the
-// previous epoch's raw values fold into the bases, so fleet sums keep
-// monotone counters and the tsdb rate derivation never sees a reset.
+// goodputCounters are the wire-form names of the per-op byte counters
+// every GridFTP server bumps on each completed transfer; their summed
+// rate is the fleet's goodput.
+var goodputCounters = []string{
+	expfmt.CanonicalName(obs.Name(obs.TransferBytesCounter, "RETR")),
+	expfmt.CanonicalName(obs.Name(obs.TransferBytesCounter, "STOR")),
+}
+
+// instanceState is one registered instance. Counters, histograms and the
+// tenant table accumulate across process restarts: when a report arrives
+// with a new process.start_time_seconds (or a counter that went
+// backwards), the previous epoch's raw values fold into the bases, so
+// fleet sums stay monotone and the tsdb rate derivation never sees a
+// reset. One staleness flag, set by Tick, governs everything the
+// instance contributes that describes the present: gauges, tenant
+// Active counts and profile rankings.
 type instanceState struct {
 	name      string
 	addr      string
@@ -118,14 +108,17 @@ type instanceState struct {
 	histBase    map[string]obs.HistogramSnapshot
 	histRaw     map[string]obs.HistogramSnapshot
 
-	// Per-tenant accounting tables pushed via POST /v1/tenants, under the
-	// same epoch discipline as counters: tenantRaw is the current
-	// incarnation as reported, tenantBase the folded prior incarnations
-	// (process restarts fold everything; a per-DN counter running
-	// backwards — the pusher's sketch evicted and readmitted that DN —
-	// folds just that DN). See tenants.go.
+	// Per-tenant accounting tables under the same epoch discipline as
+	// counters: tenantRaw is the current incarnation as reported,
+	// tenantBase the folded prior incarnations (process restarts fold
+	// everything; a per-DN counter running backwards — the pusher's
+	// sketch evicted and readmitted that DN — folds just that DN). See
+	// tenants.go.
 	tenantBase map[string]tenantCounters
 	tenantRaw  map[string]tenantCounters
+
+	// profile is the newest continuous-profile summary (profile.go).
+	profile *obs.ProfileSummary
 
 	goodputPrev float64 // effective goodput-counter sum at the last Tick
 	goodputRate float64 // bytes/sec over the last Tick interval
@@ -142,16 +135,6 @@ const startTimeGauge = "process_start_time_seconds"
 var identityGauges = map[string]bool{
 	startTimeGauge:           true,
 	"process_uptime_seconds": true,
-}
-
-// canonicalNames maps every name through expfmt.CanonicalName into a
-// fresh slice.
-func canonicalNames(names []string) []string {
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = expfmt.CanonicalName(n)
-	}
-	return out
 }
 
 // Instance is the registry view of one instance served by
@@ -184,9 +167,6 @@ type Service struct {
 	scrapes   map[string]string // instance name -> /metrics URL
 	lastTick  time.Time
 	agg       expfmt.Snapshot // latest fleet aggregate (fleet.-prefixed)
-	// profiles holds each instance's newest continuous-profile summary
-	// (profile.go); merged on demand, never ticked.
-	profiles map[string]*instanceProfile
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -238,30 +218,45 @@ func (s *Service) AddScrapeTarget(instance, url string) {
 	s.mu.Unlock()
 }
 
-// Ingest folds one telemetry snapshot from the named instance into the
-// registry. addr is advisory (the push's remote address or scrape URL).
-// It is the shared core of the push handler and the scraper.
-func (s *Service) Ingest(instance, addr string, snap expfmt.Snapshot, now time.Time) error {
-	if instance == "" {
+// Report is one instance's telemetry at one moment: a decoded push
+// envelope, or a scrape (metrics only). Ingest folds it.
+type Report struct {
+	Instance string
+	// StartTime is the process start time anchoring restart detection;
+	// zero falls back to the process_start_time_seconds gauge in Metrics.
+	StartTime int64
+	Metrics   expfmt.Snapshot
+	// Tenants is the instance's full tenant table, merged per DN.
+	Tenants []tenant.Stat
+	// Profile is the newest continuous-profile summary; nil leaves the
+	// last one in place.
+	Profile *obs.ProfileSummary
+}
+
+// Ingest folds one report into the registry. addr is advisory (the
+// push's remote address or the scrape URL). It is the one ingest path
+// of the push handler and the scraper.
+func (s *Service) Ingest(addr string, r Report, now time.Time) error {
+	if r.Instance == "" {
 		return fmt.Errorf("fleet: ingest without instance name")
 	}
 	// Canonicalize into the wire-form namespace so in-process snapshots
 	// (dotted names) and parsed pushes (underscored) land on the same
 	// series. Copied, not mutated: the caller keeps its snapshot.
-	metrics := make([]obs.Metric, len(snap.Metrics))
-	for i, m := range snap.Metrics {
+	metrics := make([]obs.Metric, len(r.Metrics.Metrics))
+	for i, m := range r.Metrics.Metrics {
 		m.Name = expfmt.CanonicalName(m.Name)
 		metrics[i] = m
 	}
-	hists := make([]obs.HistogramSnapshot, len(snap.Histograms))
-	for i, h := range snap.Histograms {
+	hists := make([]obs.HistogramSnapshot, len(r.Metrics.Histograms))
+	for i, h := range r.Metrics.Histograms {
 		h.Name = expfmt.CanonicalName(h.Name)
 		hists[i] = h
 	}
 
-	var startTime int64
+	startTime := r.StartTime
 	for _, m := range metrics {
-		if m.Name == startTimeGauge {
+		if startTime == 0 && m.Name == startTimeGauge {
 			startTime = m.Value
 			break
 		}
@@ -269,13 +264,14 @@ func (s *Service) Ingest(instance, addr string, snap expfmt.Snapshot, now time.T
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	inst, err := s.lockedInstance(instance, addr, now)
+	inst, err := s.lockedInstance(r.Instance, addr, now)
 	if err != nil {
 		return err
 	}
 
 	// Restart detection: a changed start time is authoritative; a counter
-	// running backwards catches exporters without process identity.
+	// running backwards catches exporters without process identity. One
+	// fold covers counters, histograms and the tenant table.
 	restarted := startTime != 0 && inst.startTime != 0 && startTime != inst.startTime
 	if !restarted {
 		for _, m := range metrics {
@@ -292,11 +288,14 @@ func (s *Service) Ingest(instance, addr string, snap expfmt.Snapshot, now time.T
 		for name, h := range inst.histRaw {
 			inst.histBase[name] = MergeHistograms(name, inst.histBase[name], h)
 		}
+		for dn, raw := range inst.tenantRaw {
+			inst.tenantBase[dn] = inst.tenantBase[dn].fold(raw)
+		}
 		inst.counterRaw = make(map[string]int64)
 		inst.histRaw = make(map[string]obs.HistogramSnapshot)
-		inst.foldTenants()
+		inst.tenantRaw = make(map[string]tenantCounters)
 		inst.restarts++
-		s.o.EventLog().Append("fleet.instance.restarted", "instance", instance,
+		s.o.EventLog().Append("fleet.instance.restarted", "instance", r.Instance,
 			"restarts", fmt.Sprintf("%d", inst.restarts))
 	}
 	if startTime != 0 {
@@ -314,6 +313,10 @@ func (s *Service) Ingest(instance, addr string, snap expfmt.Snapshot, now time.T
 	for _, h := range hists {
 		inst.histRaw[h.Name] = h
 	}
+	inst.ingestTenants(r.Tenants)
+	if r.Profile != nil {
+		inst.profile = r.Profile
+	}
 	inst.lastSeen = now
 	inst.stale = false
 	inst.pushes++
@@ -321,8 +324,7 @@ func (s *Service) Ingest(instance, addr string, snap expfmt.Snapshot, now time.T
 }
 
 // lockedInstance returns the named instance record, registering it when
-// new. The caller holds s.mu. Shared by the metric and tenant ingest
-// paths so either kind of push can introduce an instance.
+// new. The caller holds s.mu.
 func (s *Service) lockedInstance(instance, addr string, now time.Time) (*instanceState, error) {
 	inst, ok := s.instances[instance]
 	if !ok {
@@ -550,7 +552,7 @@ func (s *Service) Tick(now time.Time) {
 	var fleetGoodput float64
 	for _, inst := range s.instances {
 		var cur float64
-		for _, c := range s.opts.GoodputCounters {
+		for _, c := range goodputCounters {
 			cur += float64(inst.effectiveCounter(c))
 		}
 		if !firstTick && interval > 0 {
@@ -565,10 +567,6 @@ func (s *Service) Tick(now time.Time) {
 		}
 		fleetGoodput += inst.goodputRate
 	}
-	var active int64
-	for _, g := range s.opts.ActiveGauges {
-		active += gaugeSum[g]
-	}
 	s.mu.Unlock()
 
 	// Recorder + derived series + alerts run outside the registry lock:
@@ -579,11 +577,6 @@ func (s *Service) Tick(now time.Time) {
 	s.rec.Observe("fleet.instances.stale", now, float64(stale))
 	s.rec.Observe("fleet.instances.restarts", now, float64(restarts))
 	s.rec.Observe("fleet.goodput.bytes_per_sec", now, fleetGoodput)
-	deficit := 0.0
-	if s.opts.GoodputFloor > 0 && active > 0 && fleetGoodput < s.opts.GoodputFloor {
-		deficit = s.opts.GoodputFloor - fleetGoodput
-	}
-	s.rec.Observe("fleet.goodput.deficit", now, deficit)
 	s.rec.Observe("fleet.goodput.outlier_ratio", now, outlierRatio(rates))
 	s.engine.Eval(now)
 }

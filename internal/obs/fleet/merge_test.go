@@ -150,16 +150,16 @@ func TestIngestCounterResetAccumulates(t *testing.T) {
 	snap := func(start, bytes int64) expfmt.Snapshot {
 		return expfmt.Snapshot{Metrics: []obs.Metric{
 			{Name: "process.start_time_seconds", Kind: "gauge", Value: start},
-			{Name: "gridftp.server.bytes_in", Kind: "counter", Value: bytes},
+			{Name: obs.Name(obs.TransferBytesCounter, "RETR"), Kind: "counter", Value: bytes},
 		}}
 	}
-	if err := s.Ingest("ep1", "", snap(100, 500), now); err != nil {
+	if err := s.Ingest("", Report{Instance: "ep1", Metrics: snap(100, 500)}, now); err != nil {
 		t.Fatal(err)
 	}
 	s.Tick(now)
 	now = now.Add(time.Second)
 	// Restart: new start time, counter reset to 80.
-	if err := s.Ingest("ep1", "", snap(200, 80), now); err != nil {
+	if err := s.Ingest("", Report{Instance: "ep1", Metrics: snap(200, 80)}, now); err != nil {
 		t.Fatal(err)
 	}
 	s.Tick(now)
@@ -167,7 +167,7 @@ func TestIngestCounterResetAccumulates(t *testing.T) {
 	agg := s.Aggregate()
 	var got int64 = -1
 	for _, m := range agg.Metrics {
-		if m.Name == "fleet.gridftp_server_bytes_in" {
+		if m.Name == "fleet.gridftp_server_bytes{RETR}" {
 			got = m.Value
 		}
 	}
@@ -181,9 +181,15 @@ func TestIngestCounterResetAccumulates(t *testing.T) {
 
 	// The fleet rate derivation must see the monotone sum: 80 bytes over
 	// 1s, never a negative clamped to zero-with-a-spike.
-	pts := s.Recorder().Query("fleet.gridftp_server_bytes_in.rate", time.Time{}, 0)
+	pts := s.Recorder().Query("fleet.gridftp_server_bytes{RETR}.rate", time.Time{}, 0)
 	if len(pts) != 1 || math.Abs(pts[0].V-80) > 1e-9 {
 		t.Fatalf("rate points = %+v, want one point at 80 B/s", pts)
+	}
+	// The byte counter is the goodput source, so fleet goodput sees the
+	// same 80 B/s.
+	pts = s.Recorder().Query("fleet.goodput.bytes_per_sec", time.Time{}, 0)
+	if len(pts) != 2 || math.Abs(pts[1].V-80) > 1e-9 {
+		t.Fatalf("goodput points = %+v, want the second at 80 B/s", pts)
 	}
 }
 
@@ -197,8 +203,8 @@ func TestIngestCounterDecreaseWithoutIdentity(t *testing.T) {
 			{Name: "transfer.bytes_total", Kind: "counter", Value: v},
 		}}
 	}
-	s.Ingest("ep", "", snap(900), now)
-	s.Ingest("ep", "", snap(40), now.Add(time.Second)) // went backwards
+	s.Ingest("", Report{Instance: "ep", Metrics: snap(900)}, now)
+	s.Ingest("", Report{Instance: "ep", Metrics: snap(40)}, now.Add(time.Second)) // went backwards
 	s.Tick(now.Add(time.Second))
 	for _, m := range s.Aggregate().Metrics {
 		if m.Name == "fleet.transfer_bytes_total" && m.Value != 940 {

@@ -262,8 +262,8 @@ func TestBundleProfileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFleetProfileMerge pushes two instances' summaries over HTTP and
-// asserts the fleet-wide ranking sums shared functions.
+// TestFleetProfileMerge ingests two instances' summaries and asserts the
+// fleet-wide ranking served at /fleet/profile sums shared functions.
 func TestFleetProfileMerge(t *testing.T) {
 	clk := &fleetClock{now: time.Unix(1_700_000_000, 0)}
 	o := obs.Nop()
@@ -285,11 +285,12 @@ func TestFleetProfileMerge(t *testing.T) {
 			TopRegressed: []obs.ProfileFrame{{Func: fn, Flat: flat, Delta: flat / 2}},
 		}
 	}
-	if err := fleet.PushProfile(ts.URL+"/v1/profile", "ep-a", mk(3, "a.alloc", 1000)); err != nil {
-		t.Fatalf("push a: %v", err)
-	}
-	if err := fleet.PushProfile(ts.URL+"/v1/profile", "ep-b", mk(5, "b.alloc", 400)); err != nil {
-		t.Fatalf("push b: %v", err)
+	for name, sum := range map[string]obs.ProfileSummary{
+		"ep-a": mk(3, "a.alloc", 1000), "ep-b": mk(5, "b.alloc", 400),
+	} {
+		if err := svc.Ingest("", fleet.Report{Instance: name, Profile: &sum}, clk.Now()); err != nil {
+			t.Fatalf("ingest %s: %v", name, err)
+		}
 	}
 
 	var fp fleet.FleetProfile
@@ -316,10 +317,10 @@ func TestFleetProfileMerge(t *testing.T) {
 		t.Fatalf("fleet TopRegressed = %+v, want a.alloc leading by delta", fp.TopRegressed)
 	}
 
-	// Staleness: advance past the horizon; rankings empty but the
+	// Staleness: tick past the horizon; rankings empty but the
 	// per-instance summaries stay listed. Fresh struct: the ranking
 	// fields are omitempty, so re-decoding into fp would keep old data.
-	clk.Advance(time.Minute)
+	svc.Tick(clk.Advance(time.Minute))
 	var stale fleet.FleetProfile
 	getJSON(t, ts.Client(), ts.URL+"/fleet/profile", &stale)
 	if len(stale.TopAlloc) != 0 {

@@ -15,27 +15,78 @@ import (
 	"gridftp.dev/instant/internal/obs/tenant"
 )
 
-// This file is the exporter side of federation: daemons push their own
-// registry to a fleet head (Push/StartPusher), and the head pulls
+// This file is the exporter side of federation: daemons push one
+// envelope per tick to a fleet head (StartPusher), and the head pulls
 // configured /metrics URLs (scrapeAll) — both land in Ingest, so a fleet
 // can mix push-only processes behind NAT with scrapable long-lived ones.
 
 var pushClient = &http.Client{Timeout: 10 * time.Second}
 
-// Push exports reg once to a fleet head's POST /v1/metrics under the
-// given instance name.
-func Push(url, instance string, reg *obs.Registry) error {
-	var body bytes.Buffer
-	if err := expfmt.WriteText(&body, reg); err != nil {
-		return err
+// envelopeVersion is the push envelope format the head accepts.
+const envelopeVersion = 1
+
+// maxEnvelope bounds one push body.
+const maxEnvelope = 16 << 20
+
+// Envelope is the one fleet push body (POST /v1/push, JSON): everything
+// an instance reports in one tick, so the head folds it atomically.
+type Envelope struct {
+	Version  int    `json:"version"`
+	Instance string `json:"instance"`
+	// StartTime anchors restart detection on the head.
+	StartTime int64 `json:"process_start_time_seconds"`
+	// Metrics is the instance's registry in the expfmt text exposition.
+	Metrics string `json:"metrics"`
+	// Tenants is the full tenant sketch table (not a truncated top-K), so
+	// the head can merge exact per-DN aggregates.
+	Tenants []tenant.Stat `json:"tenants,omitempty"`
+	// Profile is the newest continuous-profile summary.
+	Profile *obs.ProfileSummary `json:"profile,omitempty"`
+}
+
+// newEnvelope captures o's registry, acct's tenant table (nil omits it)
+// and o's newest profile summary as one envelope.
+func newEnvelope(instance string, o *obs.Obs, acct *tenant.Accountant) (Envelope, error) {
+	snap := expfmt.SnapshotRegistry(o.Registry())
+	var text strings.Builder
+	if err := expfmt.WriteSnapshot(&text, snap); err != nil {
+		return Envelope{}, err
 	}
-	req, err := http.NewRequest(http.MethodPost, url, &body)
+	env := Envelope{Version: envelopeVersion, Instance: instance, Metrics: text.String(), Tenants: acct.Table()}
+	for _, m := range snap.Metrics {
+		if expfmt.CanonicalName(m.Name) == startTimeGauge {
+			env.StartTime = m.Value
+		}
+	}
+	if sum, ok := o.Profiler().ProfileSummary(); ok {
+		env.Profile = &sum
+	}
+	return env, nil
+}
+
+// report decodes the envelope into the form Ingest folds.
+func (e Envelope) report() (Report, error) {
+	if e.Version != envelopeVersion {
+		return Report{}, fmt.Errorf("fleet: envelope version %d, want %d", e.Version, envelopeVersion)
+	}
+	if e.Instance == "" {
+		return Report{}, fmt.Errorf("fleet: envelope without instance name")
+	}
+	snap, err := expfmt.ParseTextSnapshot(strings.NewReader(e.Metrics))
+	if err != nil {
+		return Report{}, err
+	}
+	return Report{Instance: e.Instance, StartTime: e.StartTime, Metrics: snap,
+		Tenants: e.Tenants, Profile: e.Profile}, nil
+}
+
+// push POSTs one envelope to a fleet head's /v1/push URL.
+func push(url string, env Envelope) error {
+	body, err := json.Marshal(env)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", expfmt.TextContentType)
-	req.Header.Set("X-Fleet-Instance", instance)
-	resp, err := pushClient.Do(req)
+	resp, err := pushClient.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("fleet: push to %s: %w", url, err)
 	}
@@ -47,64 +98,24 @@ func Push(url, instance string, reg *obs.Registry) error {
 	return nil
 }
 
-// PushTenants exports acct's full sketch table once to a fleet head's
-// POST /v1/tenants under the given instance name. The full table (not
-// a truncated top-K) ships so the head can merge exact per-DN
-// aggregates; a nil or empty accountant pushes nothing.
-func PushTenants(url, instance string, acct *tenant.Accountant) error {
-	table := acct.Table()
-	if len(table) == 0 {
-		return nil
-	}
-	body, err := json.Marshal(table)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Fleet-Instance", instance)
-	resp, err := pushClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("fleet: tenant push to %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("fleet: tenant push to %s: %s", url, resp.Status)
-	}
-	return nil
-}
-
-// StartPusher pushes o's registry to url every interval until the
-// returned stop function is called. When o carries a continuous
-// profiler, its newest summary rides along to the sibling /v1/profile
-// endpoint on every tick; when acct is non-nil, its tenant table rides
-// along to /v1/tenants the same way. Push failures are logged at debug
-// (the head may simply not be up yet) and retried on the next tick; a
-// final push runs on stop so short-lived processes still report their
-// last state.
+// StartPusher POSTs one envelope — o's registry, acct's tenant table
+// when acct is non-nil, and o's newest profile summary when it carries a
+// continuous profiler — to a fleet head's /v1/push url every interval
+// until the returned stop function is called. Failures are logged at
+// debug (the head may simply not be up yet) and retried on the next
+// tick; a final push runs on stop so short-lived processes still report
+// their last state.
 func StartPusher(url, instance string, o *obs.Obs, acct *tenant.Accountant, interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	profileURL := profilePushURL(url)
-	tenantURL := tenantPushURL(url)
-	pushAll := func() {
-		if err := Push(url, instance, o.Registry()); err != nil {
+	pushOnce := func() {
+		env, err := newEnvelope(instance, o, acct)
+		if err == nil {
+			err = push(url, env)
+		}
+		if err != nil {
 			o.Logger().Debug("fleet: push failed", "url", url, "err", err.Error())
-		}
-		if sum, ok := o.Profiler().ProfileSummary(); ok {
-			if err := PushProfile(profileURL, instance, sum); err != nil {
-				o.Logger().Debug("fleet: profile push failed", "url", profileURL, "err", err.Error())
-			}
-		}
-		if acct != nil {
-			if err := PushTenants(tenantURL, instance, acct); err != nil {
-				o.Logger().Debug("fleet: tenant push failed", "url", tenantURL, "err", err.Error())
-			}
 		}
 	}
 	stopCh := make(chan struct{})
@@ -116,9 +127,9 @@ func StartPusher(url, instance string, o *obs.Obs, acct *tenant.Accountant, inte
 		for {
 			select {
 			case <-tick.C:
-				pushAll()
+				pushOnce()
 			case <-stopCh:
-				pushAll()
+				pushOnce()
 				return
 			}
 		}
@@ -128,24 +139,6 @@ func StartPusher(url, instance string, o *obs.Obs, acct *tenant.Accountant, inte
 		once.Do(func() { close(stopCh) })
 		<-doneCh
 	}
-}
-
-// profilePushURL derives the /v1/profile ingest URL from the configured
-// /v1/metrics push URL (unrecognized shapes just get /v1/profile
-// appended to the host part untouched — the head 404s harmlessly).
-func profilePushURL(metricsURL string) string {
-	if strings.HasSuffix(metricsURL, "/v1/metrics") {
-		return strings.TrimSuffix(metricsURL, "/v1/metrics") + "/v1/profile"
-	}
-	return metricsURL
-}
-
-// tenantPushURL derives the /v1/tenants ingest URL the same way.
-func tenantPushURL(metricsURL string) string {
-	if strings.HasSuffix(metricsURL, "/v1/metrics") {
-		return strings.TrimSuffix(metricsURL, "/v1/metrics") + "/v1/tenants"
-	}
-	return metricsURL
 }
 
 // scrapeAll pulls every configured scrape target once, concurrently, and
@@ -181,7 +174,7 @@ func (s *Service) scrapeAll(now time.Time) {
 				s.o.Logger().Debug("fleet: scrape unparsable", "instance", name, "err", err.Error())
 				return
 			}
-			s.Ingest(name, url, snap, now)
+			s.Ingest(url, Report{Instance: name, Metrics: snap}, now)
 		}(name, url)
 	}
 	wg.Wait()

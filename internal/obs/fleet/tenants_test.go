@@ -14,6 +14,11 @@ func tstat(dn string, bytes int64, active int64) tenant.Stat {
 	return tenant.Stat{DN: dn, Weight: bytes, Bytes: bytes, Active: active}
 }
 
+// ingestTenants folds a tenants-only report from instance.
+func ingestTenants(s *Service, instance string, table []tenant.Stat, now time.Time) error {
+	return s.Ingest("", Report{Instance: instance, Tenants: table}, now)
+}
+
 // TestTenantsMergeAcrossInstances: per-DN sums across pushers, heaviest
 // first, with Share computed against fleet bytes and ranks assigned
 // after the merge.
@@ -21,10 +26,10 @@ func TestTenantsMergeAcrossInstances(t *testing.T) {
 	now := time.Unix(10000, 0)
 	s := New(Options{Obs: obs.Nop(), Now: func() time.Time { return now }})
 
-	if err := s.IngestTenants("i1", "", []tenant.Stat{tstat("A", 100, 2), tstat("B", 50, 1)}, now); err != nil {
+	if err := ingestTenants(s, "i1", []tenant.Stat{tstat("A", 100, 2), tstat("B", 50, 1)}, now); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.IngestTenants("i2", "", []tenant.Stat{tstat("A", 30, 1)}, now); err != nil {
+	if err := ingestTenants(s, "i2", []tenant.Stat{tstat("A", 30, 1)}, now); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,9 +59,9 @@ func TestTenantsPerDNFold(t *testing.T) {
 	now := time.Unix(20000, 0)
 	s := New(Options{Obs: obs.Nop(), Now: func() time.Time { return now }})
 
-	s.IngestTenants("i1", "", []tenant.Stat{tstat("A", 100, 0), tstat("B", 50, 0)}, now)
+	ingestTenants(s, "i1", []tenant.Stat{tstat("A", 100, 0), tstat("B", 50, 0)}, now)
 	// A went backwards (evicted, readmitted at 20); B simply advanced.
-	s.IngestTenants("i1", "", []tenant.Stat{tstat("A", 20, 0), tstat("B", 60, 0)}, now.Add(time.Second))
+	ingestTenants(s, "i1", []tenant.Stat{tstat("A", 20, 0), tstat("B", 60, 0)}, now.Add(time.Second))
 
 	byDN := map[string]tenant.Stat{}
 	for _, st := range s.Tenants(0) {
@@ -70,8 +75,8 @@ func TestTenantsPerDNFold(t *testing.T) {
 	}
 }
 
-// TestTenantsRestartFold: a process restart detected by the metric path
-// (process.start_time_seconds changed) folds the whole tenant table, so
+// TestTenantsRestartFold: a process restart (process.start_time_seconds
+// changed) folds the whole tenant table together with the counters, so
 // the post-restart push — every DN starting over — keeps fleet totals
 // monotone.
 func TestTenantsRestartFold(t *testing.T) {
@@ -83,14 +88,14 @@ func TestTenantsRestartFold(t *testing.T) {
 		}}
 	}
 
-	s.Ingest("i1", "", snap(100), now)
-	s.IngestTenants("i1", "", []tenant.Stat{tstat("A", 500, 1), tstat("B", 5, 0)}, now)
+	s.Ingest("", Report{Instance: "i1", Metrics: snap(100),
+		Tenants: []tenant.Stat{tstat("A", 500, 1), tstat("B", 5, 0)}}, now)
 
-	// Restart: new start time arrives on the metric plane, then the new
-	// incarnation's first tenant push (A back at 80, B gone entirely).
+	// Restart: the new incarnation's first report carries the new start
+	// time and its tenant table (A back at 80, B gone entirely).
 	now = now.Add(time.Second)
-	s.Ingest("i1", "", snap(200), now)
-	s.IngestTenants("i1", "", []tenant.Stat{tstat("A", 80, 1)}, now)
+	s.Ingest("", Report{Instance: "i1", Metrics: snap(200),
+		Tenants: []tenant.Stat{tstat("A", 80, 1)}}, now)
 
 	byDN := map[string]tenant.Stat{}
 	for _, st := range s.Tenants(0) {
@@ -114,12 +119,12 @@ func TestTenantsStaleInstance(t *testing.T) {
 	now := time.Unix(40000, 0)
 	s := New(Options{Obs: obs.Nop(), Now: func() time.Time { return now }})
 
-	s.IngestTenants("live", "", []tenant.Stat{tstat("A", 100, 2)}, now)
-	s.IngestTenants("gone", "", []tenant.Stat{tstat("A", 40, 5)}, now)
+	ingestTenants(s, "live", []tenant.Stat{tstat("A", 100, 2)}, now)
+	ingestTenants(s, "gone", []tenant.Stat{tstat("A", 40, 5)}, now)
 
 	// Past StaleAfter with only "live" still pushing.
 	now = now.Add(time.Minute)
-	s.IngestTenants("live", "", []tenant.Stat{tstat("A", 100, 2)}, now)
+	ingestTenants(s, "live", []tenant.Stat{tstat("A", 100, 2)}, now)
 	s.Tick(now)
 
 	got := s.Tenants(0)
@@ -145,7 +150,7 @@ func TestTenantsTruncationAndCap(t *testing.T) {
 	for i := 0; i < maxTenantsPerInstance+100; i++ {
 		table = append(table, tstat(fmt.Sprintf("/CN=flood-%05d", i), int64(i+1), 0))
 	}
-	if err := s.IngestTenants("flood", "", table, now); err != nil {
+	if err := ingestTenants(s, "flood", table, now); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s.Tenants(maxTenantsPerInstance * 2)); got > maxTenantsPerInstance {
@@ -166,10 +171,10 @@ func TestTenantsTruncationAndCap(t *testing.T) {
 	}
 
 	// Empty DNs and empty instance names are rejected/skipped.
-	if err := s.IngestTenants("", "", table[:1], now); err == nil {
+	if err := ingestTenants(s, "", table[:1], now); err == nil {
 		t.Fatal("ingest without instance name must error")
 	}
-	s.IngestTenants("flood", "", []tenant.Stat{{DN: "", Bytes: 9}}, now)
+	ingestTenants(s, "flood", []tenant.Stat{{DN: "", Bytes: 9}}, now)
 	for _, st := range s.Tenants(1) {
 		if st.DN == "" {
 			t.Fatal("empty DN leaked into the merged table")

@@ -334,6 +334,11 @@ func (r *Registry) HistogramSnapshots() []HistogramSnapshot {
 	return out
 }
 
+// TransferBytesCounter is the counter family every GridFTP server bumps
+// on each completed transfer, one series per op (Name(TransferBytesCounter,
+// "RETR"|"STOR")). The fleet head sums it as goodput.
+const TransferBytesCounter = "gridftp.server.bytes"
+
 // Name composes a metric name with an instance label, e.g.
 // Name("netsim.link.bytes", "siteA|siteB").
 func Name(base, instance string) string {

@@ -422,24 +422,7 @@ func (s *Service) run(task *Task) {
 		err := s.attempt(task, &plan, span)
 		s.recordWireEvidence(task, attempt, span.TraceID.String())
 		if err == nil {
-			s.update(task, func(t *Task) {
-				t.Status = TaskSucceeded
-				t.Finished = time.Now()
-				t.Error = ""
-			})
-			span.SetAttr("attempts", attempt)
-			span.End()
-			reg.Counter("transfer.tasks_succeeded").Inc()
-			s.cfg.Tenants.TaskDone(task.DN, true)
-			s.retireTaskSeries(task.ID)
-			s.observeTask(time.Since(task.Started), true, span.TraceID.String())
-			log.Info("task succeeded", "attempts", attempt,
-				"bytes", task.BytesTransferred,
-				"dur", time.Since(task.Started).Round(time.Microsecond))
-			ev.Append(eventlog.TaskComplete, "component", "transfer-service",
-				"task", task.ID, "status", string(TaskSucceeded),
-				"attempts", attempt, "bytes", task.BytesTransferred,
-				"trace", span.TraceID.String())
+			s.finishTask(task, span, log, attempt, nil)
 			return
 		}
 		lastErr = err
@@ -457,21 +440,54 @@ func (s *Service) run(task *Task) {
 			time.Sleep(s.cfg.RetryDelay)
 		}
 	}
+	s.finishTask(task, span, log, s.cfg.RetryLimit, lastErr)
+}
+
+// finishTask is a task's one completion record. It first sets the
+// terminal status and Finished (so telemetry never delays the task's
+// observable end), then closes the task span and feeds the outcome
+// counter, the tenant's task tally, series retirement, the task-duration
+// histograms (with the span's trace id as the bucket exemplar), the log
+// and the event ring.
+func (s *Service) finishTask(task *Task, span *obs.Span, log *obs.Logger, attempts int, err error) {
+	status, errText := TaskSucceeded, ""
+	if err != nil {
+		status, errText = TaskFailed, err.Error()
+	}
 	s.update(task, func(t *Task) {
-		t.Status = TaskFailed
+		t.Status = status
 		t.Finished = time.Now()
-		t.Error = lastErr.Error()
+		t.Error = errText
 	})
-	span.SetError(lastErr)
+	reg := s.cfg.Obs.Registry()
+	traceID := span.TraceID.String()
+	outcome, counter := "outcome=ok", "transfer.tasks_succeeded"
+	if err != nil {
+		outcome, counter = "outcome=err", "transfer.tasks_failed"
+		span.SetError(err)
+	} else {
+		span.SetAttr("attempts", attempts)
+	}
 	span.End()
-	reg.Counter("transfer.tasks_failed").Inc()
-	s.cfg.Tenants.TaskDone(task.DN, false)
+	reg.Counter(counter).Inc()
+	s.cfg.Tenants.TaskDone(task.DN, err == nil)
 	s.retireTaskSeries(task.ID)
-	s.observeTask(time.Since(task.Started), false, span.TraceID.String())
-	log.Error("task failed", "err", lastErr)
-	ev.Append(eventlog.TaskComplete, "component", "transfer-service",
-		"task", task.ID, "status", string(TaskFailed), "err", lastErr.Error(),
-		"trace", span.TraceID.String())
+	dur := time.Since(task.Started)
+	reg.Histogram("transfer.task_seconds", obs.DefaultDurationBuckets).
+		ObserveExemplar(dur.Seconds(), traceID)
+	reg.Histogram(obs.Name("transfer.task_seconds", outcome), obs.DefaultDurationBuckets).
+		ObserveExemplar(dur.Seconds(), traceID)
+	if err != nil {
+		log.Error("task failed", "err", err)
+		s.cfg.Obs.EventLog().Append(eventlog.TaskComplete, "component", "transfer-service",
+			"task", task.ID, "status", string(status), "err", errText, "trace", traceID)
+		return
+	}
+	log.Info("task succeeded", "attempts", attempts,
+		"bytes", task.BytesTransferred, "dur", dur.Round(time.Microsecond))
+	s.cfg.Obs.EventLog().Append(eventlog.TaskComplete, "component", "transfer-service",
+		"task", task.ID, "status", string(status),
+		"attempts", attempts, "bytes", task.BytesTransferred, "trace", traceID)
 }
 
 // retireTaskSeries hands the task's tsdb timelines back at terminal
@@ -518,21 +534,6 @@ func (s *Service) recordWireEvidence(task *Task, attempt int, traceID string) {
 		"component", "transfer-service", "task", task.ID, "attempt", attempt,
 		"transfers", ws.Transfers, "retransmits", ws.Retransmits,
 		"imbalance", ws.Imbalance, "stalls", ws.Stalls, "trace", traceID)
-}
-
-// observeTask records the task duration on the aggregate histogram and on
-// the outcome-labeled series, carrying the task span's trace id as the
-// bucket exemplar.
-func (s *Service) observeTask(dur time.Duration, ok bool, traceID string) {
-	reg := s.cfg.Obs.Registry()
-	reg.Histogram("transfer.task_seconds", obs.DefaultDurationBuckets).
-		ObserveExemplar(dur.Seconds(), traceID)
-	outcome := "outcome=ok"
-	if !ok {
-		outcome = "outcome=err"
-	}
-	reg.Histogram(obs.Name("transfer.task_seconds", outcome), obs.DefaultDurationBuckets).
-		ObserveExemplar(dur.Seconds(), traceID)
 }
 
 // attempt reauthenticates to both endpoints with the stored short-term

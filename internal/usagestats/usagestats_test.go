@@ -78,3 +78,11 @@ func TestCollectorConcurrentReports(t *testing.T) {
 		t.Fatalf("totals %d %d", tr, by)
 	}
 }
+
+// TestNilCollectorDiscards pins the nil-safe optional sink: a server or
+// endpoint configured without a collector reports into a nil *Collector,
+// which must discard the record instead of panicking the session.
+func TestNilCollectorDiscards(t *testing.T) {
+	var c *Collector
+	c.Report(TransferRecord{Endpoint: "siteA", Op: "STOR", Bytes: 10, When: day(1)})
+}
