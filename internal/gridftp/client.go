@@ -4,7 +4,6 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,27 +43,15 @@ type Client struct {
 	perfBytes map[int]int64
 	perfSeen  int
 
-	// Active-mode state: a listener on the client host plus pooled
-	// accepted channels; passive-mode state: pooled dialed channels.
-	// acceptCh/acceptErr are fed by a single pump goroutine owning the
-	// listener, so canceled transfers cannot strand accepted connections.
-	// lmu guards the listener fields: handshake pump goroutines may read
-	// them concurrently with Close.
-	lmu            sync.Mutex
-	dataListener   net.Listener
-	acceptCh       chan net.Conn
-	acceptErr      chan error
-	pooledAccepted []*dataChannel
-	pooledDialed   []*dataChannel
-	passiveAddrs   []string
+	delegated bool
 
-	cacheDisabled bool
-	delegated     bool
+	// task labels the client's own transfers in stream telemetry (see
+	// SetTask).
+	task string
 
-	// streams is the client-side stream-telemetry registry; task labels
-	// the client's own transfers in it (see SetTask).
-	streams *streamstats.Registry
-	task    string
+	// The client's data channels: its active-mode listener, the server's
+	// PASV address as dial target, and the channel pools.
+	dataEndpoint
 }
 
 // DialOptions tweak client connection behaviour.
@@ -92,15 +79,15 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 		return nil, fmt.Errorf("gridftp: dial %s: %w", addr, err)
 	}
 	c := &Client{
-		ctrl:          ftp.NewConn(raw),
-		host:          host,
-		cred:          cred,
-		trust:         trust,
-		spec:          ChannelSpec{Mode: ModeExtended}.Normalize(),
-		cacheDisabled: opts.DisableChannelCache,
-		obs:           opts.Obs,
-		streams:       opts.Streams,
-		perfBytes:     make(map[int]int64),
+		ctrl:      ftp.NewConn(raw),
+		host:      host,
+		cred:      cred,
+		trust:     trust,
+		spec:      ChannelSpec{Mode: ModeExtended}.Normalize(),
+		obs:       opts.Obs,
+		perfBytes: make(map[int]int64),
+		dataEndpoint: dataEndpoint{dialFrom: []*netsim.Host{host},
+			noCache: opts.DisableChannelCache, streams: opts.Streams},
 	}
 	if _, err := c.ctrl.Expect(ftp.CodeReadyForNewUser); err != nil {
 		raw.Close()
@@ -141,26 +128,22 @@ func DialWithOptions(host *netsim.Host, addr string, cred *gsi.Credential, trust
 	return c, nil
 }
 
-// Close ends the session.
+// Close ends the session with QUIT. It reports a failed QUIT exchange or
+// a reply other than 221.
 func (c *Client) Close() error {
-	c.flushPools()
-	c.lmu.Lock()
-	if c.dataListener != nil {
-		c.dataListener.Close()
-		c.dataListener = nil
+	c.dataEndpoint.close()
+	err := c.ctrl.Cmd("QUIT", "")
+	if err == nil {
+		_, err = c.ctrl.Expect(221)
 	}
-	c.lmu.Unlock()
-	c.ctrl.Cmd("QUIT", "")
-	c.ctrl.Expect(221)
-	return c.ctrl.Close()
-}
-
-func (c *Client) flushPools() {
-	closeChannels(c.pooledAccepted)
-	closeChannels(c.pooledDialed)
-	c.pooledAccepted = nil
-	c.pooledDialed = nil
-	c.passiveAddrs = nil
+	// After its 221 the server hangs up first, so the TLS close-notify
+	// sent here routinely fails; that failure says nothing about the
+	// session.
+	c.ctrl.Close()
+	if err != nil {
+		return fmt.Errorf("gridftp: quit: %w", err)
+	}
+	return nil
 }
 
 // countCommand records one control-channel command on the per-verb
@@ -268,7 +251,7 @@ func (c *Client) SetParallelism(n int) error {
 		return err
 	}
 	c.spec.Parallelism = n
-	c.flushPools()
+	c.reset()
 	return nil
 }
 
@@ -317,7 +300,7 @@ func (c *Client) SetMode(m TransferMode) error {
 	}
 	c.spec.Mode = m
 	c.spec = c.spec.Normalize()
-	c.flushPools()
+	c.reset()
 	return nil
 }
 
@@ -330,7 +313,7 @@ func (c *Client) SetDCAU(m DCAUMode) error {
 	if m == DCAUNone {
 		c.spec.Prot = ProtClear
 	}
-	c.flushPools()
+	c.reset()
 	return nil
 }
 
@@ -346,7 +329,7 @@ func (c *Client) SetTransport(tr netsim.Transport) error {
 		return err
 	}
 	c.spec.Transport = tr
-	c.flushPools()
+	c.reset()
 	return nil
 }
 
@@ -363,7 +346,7 @@ func (c *Client) SetDeflate(on bool) error {
 	}
 	if on != c.spec.Deflate {
 		c.spec.Deflate = on
-		c.flushPools()
+		c.reset()
 	}
 	return nil
 }
@@ -377,7 +360,7 @@ func (c *Client) SetProt(p ProtLevel) error {
 		return err
 	}
 	c.spec.Prot = p
-	c.flushPools()
+	c.reset()
 	return nil
 }
 
@@ -392,7 +375,7 @@ func (c *Client) SendDCSC(cred *gsi.Credential) error {
 	}
 	_, err = c.cmdExpect("DCSC", "P "+blob, ftp.CodeOK)
 	if err == nil {
-		c.flushPools()
+		c.reset()
 	}
 	return err
 }
@@ -401,7 +384,7 @@ func (c *Client) SendDCSC(cred *gsi.Credential) error {
 func (c *Client) ResetDCSC() error {
 	_, err := c.cmdExpect("DCSC", "D", ftp.CodeOK)
 	if err == nil {
-		c.flushPools()
+		c.reset()
 	}
 	return err
 }
@@ -442,17 +425,17 @@ func (c *Client) sendRestart() ([]Range, error) {
 }
 
 // passive puts the server in passive mode and returns the data address.
-func (c *Client) passive() (string, error) {
+func (c *Client) passive() ([]string, error) {
 	r, err := c.cmdExpect("PASV", "", ftp.CodeEnteringPassive)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	open := strings.Index(r.Lines[0], "(")
 	closeIdx := strings.LastIndex(r.Lines[0], ")")
 	if open < 0 || closeIdx <= open {
-		return "", fmt.Errorf("gridftp: unparsable PASV reply %q", r.Lines[0])
+		return nil, fmt.Errorf("gridftp: unparsable PASV reply %q", r.Lines[0])
 	}
-	return r.Lines[0][open+1 : closeIdx], nil
+	return []string{r.Lines[0][open+1 : closeIdx]}, nil
 }
 
 // spas puts the (striped) server in striped passive mode and returns all
@@ -471,146 +454,68 @@ func (c *Client) spas() ([]string, error) {
 // Passive exposes PASV/SPAS for third-party orchestration: it returns the
 // receiver's listening addresses (one per stripe).
 func (c *Client) Passive(striped bool) ([]string, error) {
+	passive := c.passive
 	if striped {
-		return c.spas()
+		passive = c.spas
 	}
-	addr, err := c.passive()
+	addrs, err := passive()
 	if err != nil {
 		return nil, err
 	}
-	return []string{addr}, nil
+	// PASV resets the server's data state (it closes listeners and
+	// flushes both its channel pools), so mirror that here: any channels
+	// we still hold are now stale on the far end. Keeping the pools in
+	// lockstep is what makes channel caching safe.
+	c.reset()
+	return addrs, nil
 }
 
-// Port sends the peer's data addresses to this (sender) server.
+// Port sends data addresses to this server, which then connects to them
+// (the sender of a third-party transfer, or this client's listener).
 func (c *Client) Port(addrs []string) error {
+	var err error
 	if len(addrs) == 1 {
-		_, err := c.cmdExpect("PORT", addrs[0], ftp.CodeOK)
+		_, err = c.cmdExpect("PORT", addrs[0], ftp.CodeOK)
+	} else {
+		_, err = c.cmdExpect("SPOR", strings.Join(addrs, " "), ftp.CodeOK)
+	}
+	if err != nil {
 		return err
 	}
-	_, err := c.cmdExpect("SPOR", strings.Join(addrs, " "), ftp.CodeOK)
-	return err
+	// PORT, like PASV, resets the server's data state.
+	c.reset()
+	return nil
 }
 
 // ensurePassive guarantees the server is listening for data connections.
 // It must run BEFORE the transfer command is sent: once the command is in
 // flight the server is busy with the transfer and cannot answer PASV.
 func (c *Client) ensurePassive() error {
-	if len(c.passiveAddrs) > 0 {
+	if len(c.targets) > 0 {
 		return nil
 	}
-	addr, err := c.passive()
+	addrs, err := c.Passive(false)
 	if err != nil {
 		return err
 	}
-	// PASV resets the server's data state (it closes listeners and
-	// flushes both its channel pools), so mirror that here: any channels
-	// we still hold are now stale on the far end. Keeping the pools in
-	// lockstep is what makes channel caching safe.
-	c.flushPools()
-	c.passiveAddrs = []string{addr}
+	c.targets = addrs
 	return nil
-}
-
-// dialData opens and secures n data connections to the server's passive
-// address(es), reusing the pool when possible. ensurePassive must have
-// succeeded earlier in the session.
-func (c *Client) dialData(n int) ([]*dataChannel, error) {
-	if len(c.pooledDialed) == n {
-		chans := c.pooledDialed
-		c.pooledDialed = nil
-		return chans, nil
-	}
-	closeChannels(c.pooledDialed)
-	c.pooledDialed = nil
-	if len(c.passiveAddrs) == 0 {
-		return nil, errors.New("gridftp: no passive address (ensurePassive not run)")
-	}
-	// Establish concurrently so N channels cost one connect+handshake RTT.
-	chans := make([]*dataChannel, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			raw, err := c.host.DialTransport(c.passiveAddrs[i%len(c.passiveAddrs)], c.spec.Transport)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sec, err := secureData(raw, c.dataContext(), c.spec.DCAU, c.spec.Prot, false)
-			if err != nil {
-				raw.Close()
-				errs[i] = err
-				return
-			}
-			chans[i] = &dataChannel{raw: raw, sec: maybeDeflate(sec, c.spec.Deflate)}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			closeChannels(compactChannels(chans))
-			return nil, err
-		}
-	}
-	return chans, nil
 }
 
 // ensureListener opens (once) the client-side data listener for
 // active-mode transfers and registers it with the server via PORT.
 func (c *Client) ensureListener() error {
-	c.lmu.Lock()
-	if c.dataListener == nil {
-		l, err := c.host.Listen(0)
-		if err != nil {
-			c.lmu.Unlock()
+	if len(c.listeners) == 0 {
+		if _, err := c.listen([]*netsim.Host{c.host}); err != nil {
 			return err
 		}
-		c.dataListener = l
-		c.acceptCh = make(chan net.Conn, 64)
-		c.acceptErr = make(chan error, 1)
-		go func(conns chan net.Conn, errs chan error) {
-			for {
-				conn, err := l.Accept()
-				if err != nil {
-					errs <- err
-					return
-				}
-				select {
-				case conns <- conn:
-				default:
-					conn.Close()
-				}
-			}
-		}(c.acceptCh, c.acceptErr)
 	}
-	addr := c.dataListener.Addr().String()
-	c.lmu.Unlock()
-	if _, err := c.cmdExpect("PORT", addr, ftp.CodeOK); err != nil {
-		return err
-	}
-	// PORT, like PASV, resets the server's data state; drop our now-stale
-	// pools to stay in lockstep (see ensurePassive).
-	closeChannels(c.pooledAccepted)
-	closeChannels(c.pooledDialed)
-	c.pooledAccepted = nil
-	c.pooledDialed = nil
-	c.passiveAddrs = nil
-	return nil
+	return c.Port([]string{c.listeners[0].Addr().String()})
 }
 
-// retire pools channels for reuse or closes them.
-func (c *Client) retire(chans []*dataChannel, ok bool) {
-	if !ok || c.spec.Mode != ModeExtended || c.cacheDisabled {
-		closeChannels(chans)
-		return
-	}
-	if len(chans) > 0 && chans[0].acceptor {
-		c.pooledAccepted = chans
-	} else {
-		c.pooledDialed = chans
-	}
+// setup is what the client's next data channels are secured with.
+func (c *Client) setup() channelSetup {
+	return channelSetup{spec: c.spec, ctx: c.dataContext()}
 }
 
 // parseOpeningSize extracts the announced byte count from a 150 reply of
@@ -722,21 +627,6 @@ func (c *Client) SetTask(label string) error {
 	return nil
 }
 
-// trackChannels registers a MODE E transfer's channels with the client's
-// stream-telemetry registry; see session.trackChannels for the server twin.
-func (c *Client) trackChannels(verb string, chans []*dataChannel) ([]net.Conn, *streamstats.Transfer) {
-	conns := secConns(chans)
-	if c.streams == nil {
-		return conns, nil
-	}
-	t := c.streams.Begin(c.task, verb)
-	for i, ch := range chans {
-		conns[i] = t.Wrap(i, ch.sec, ch.raw)
-	}
-	t.SetAbort(func() { abortChannels(chans) })
-	return conns, t
-}
-
 // TransferStats reports what a transfer moved.
 type TransferStats struct {
 	Bytes    int64
@@ -769,7 +659,7 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 	c.Allocate(size)
 	var lastMarkers []Range
 	if c.spec.Mode == ModeStream {
-		c.flushPools()
+		c.reset()
 		if err := c.ensurePassive(); err != nil {
 			return nil, err
 		}
@@ -777,7 +667,7 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 		if err := c.ctrl.Cmd("STOR", "%s", path); err != nil {
 			return nil, err
 		}
-		chans, err := c.dialData(1)
+		chans, err := c.establish(1, c.setup())
 		if err != nil {
 			c.ctrl.ReadFinalReply(nil)
 			return nil, err
@@ -814,42 +704,46 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 	if err := c.ctrl.Cmd("STOR", "%s", path); err != nil {
 		return nil, err
 	}
-	chans, err := c.dialData(c.spec.Parallelism)
+	err = c.sendWithReplies(src, ranges, func(rs []Range) { lastMarkers = rs })
+	if err != nil {
+		return &TransferStats{Markers: lastMarkers}, err
+	}
+	return &TransferStats{Bytes: totalLen(ranges), Duration: time.Since(start), Markers: lastMarkers}, nil
+}
+
+// sendWithReplies runs one MODE E upload whose STOR is already sent: it
+// establishes (or reuses) the channels, sends ranges of src and reads the
+// final reply, passing restart markers to onMarker (nil = ignore). The
+// error is the send's, else the control channel's, else the final
+// reply's.
+func (c *Client) sendWithReplies(src dsi.File, ranges []Range, onMarker func([]Range)) error {
+	chans, err := c.establish(c.spec.Parallelism, c.setup())
 	if err != nil {
 		// The server is waiting for a transfer that will not happen; it
 		// will time out its accept and report 425/426.
 		c.ctrl.ReadFinalReply(nil)
-		return nil, err
+		return err
 	}
 	sent := c.obs.Registry().Counter("gridftp.client.bytes_sent")
-	conns, tracker := c.trackChannels("put", chans)
-	sendErr := sendModeE(conns, src, ranges, c.spec.BlockSize,
-		func(stream int, n int64) { sent.Add(n) })
+	t := c.streams.Begin(c.task, "put")
+	err = send(t, chans, src, ranges, c.spec.BlockSize, func(_ int, n int64) { sent.Add(n) })
 	r, rerr := c.ctrl.ReadFinalReply(func(p ftp.Reply) {
-		if ranges := c.handlePreliminary(p); ranges != nil {
-			lastMarkers = ranges
+		if rs := c.handlePreliminary(p); rs != nil && onMarker != nil {
+			onMarker(rs)
 		}
 	})
-	switch {
-	case sendErr != nil:
-		tracker.Done(sendErr)
-		closeChannels(chans)
-		c.flushPools()
-		return &TransferStats{Markers: lastMarkers}, sendErr
-	case rerr != nil:
-		tracker.Done(rerr)
-		closeChannels(chans)
-		c.flushPools()
-		return &TransferStats{Markers: lastMarkers}, rerr
-	case r.Err() != nil:
-		tracker.Done(r.Err())
-		closeChannels(chans)
-		c.flushPools()
-		return &TransferStats{Markers: lastMarkers}, r.Err()
+	if err == nil {
+		err = rerr
 	}
-	tracker.Done(nil)
-	c.retire(chans, true)
-	return &TransferStats{Bytes: totalLen(ranges), Duration: time.Since(start), Markers: lastMarkers}, nil
+	if err == nil {
+		err = r.Err()
+	}
+	if err = c.retire(t, chans, c.spec.Mode, err); err != nil {
+		// The server may have pooled channels this end just closed; the
+		// PASV of the next upload resets it.
+		c.reset()
+	}
+	return err
 }
 
 // Get downloads the remote path into dst. Active mode (default): this
@@ -881,24 +775,17 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 		if err := c.ctrl.Cmd(verb, "%s", params); err != nil {
 			return nil, err
 		}
-		raw, err := c.acceptOne()
+		chans, err := c.establish(1, c.setup())
 		if err != nil {
 			c.ctrl.ReadFinalReply(nil)
 			return nil, err
 		}
-		sec, err := secureData(raw, c.dataContext(), c.spec.DCAU, c.spec.Prot, true)
-		if err != nil {
-			raw.Close()
-			c.ctrl.ReadFinalReply(nil)
-			return nil, err
-		}
-		sec = maybeDeflate(sec, c.spec.Deflate)
 		offset := int64(0)
 		if len(restart) == 1 && restart[0].Start == 0 {
 			offset = restart[0].End
 		}
-		n, recvErr := recvStream(sec, dst, offset, c.spec.BlockSize)
-		raw.Close()
+		n, recvErr := recvStream(chans[0].sec, dst, offset, c.spec.BlockSize)
+		closeChannels(chans)
 		r, rerr := c.ctrl.ReadFinalReply(nil)
 		if recvErr != nil {
 			return nil, recvErr
@@ -924,86 +811,34 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 	}
 
 	received := FromRanges(restart)
-	res, r, rerr := c.recvWithReplies(dst, received)
-	markers := res.Received.Ranges()
-	if c.markerCB != nil && res.Received.Covered() > 0 {
+	err := c.recvWithReplies(dst, received)
+	markers := received.Ranges()
+	if c.markerCB != nil && received.Covered() > 0 {
 		c.markerCB(markers)
 	}
-	switch {
-	case rerr != nil:
-		return &TransferStats{Markers: markers}, rerr
-	case r.Err() != nil:
-		// The server's error reply names the root cause; a concurrent
-		// receive cancellation is just its consequence.
-		return &TransferStats{Markers: markers}, r.Err()
-	case res.Err != nil:
-		return &TransferStats{Markers: markers}, res.Err
+	if err != nil {
+		return &TransferStats{Markers: markers}, err
 	}
 	return &TransferStats{
-		Bytes:    res.Received.Covered() - totalLen(restart),
+		Bytes:    received.Covered() - totalLen(restart),
 		Duration: time.Since(start),
 		Markers:  markers,
 	}, nil
 }
 
-// recvWithReplies runs one MODE E receive (pooled channels first, fresh
-// ones off the client listener) while concurrently reading control-channel
-// replies, so a refusal (e.g. 530 before any data connection exists)
-// cancels the receive instead of timing it out. It retires channels into
-// the pool on success and flushes them on any failure.
-func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, ftp.Reply, error) {
-	pooled := c.pooledAccepted
-	c.pooledAccepted = nil
-	var fresh []*dataChannel
-	var freshMu sync.Mutex
-	sealed := false
-	pi := 0
-	securedAccept := parallelSecureAccept(c.acceptOneStop, c.dataContext(),
-		c.spec.DCAU, c.spec.Prot, c.spec.Deflate, func(ch *dataChannel) {
-			freshMu.Lock()
-			if sealed {
-				freshMu.Unlock()
-				ch.close()
-				return
-			}
-			fresh = append(fresh, ch)
-			freshMu.Unlock()
-		})
-	accept := func(stop <-chan struct{}) (net.Conn, error) {
-		if pi < len(pooled) {
-			ch := pooled[pi]
-			pi++
-			return ch.sec, nil
-		}
-		return securedAccept(stop)
+// recvWithReplies runs one MODE E receive into received whose command is
+// already sent, reading control-channel replies concurrently so a refusal
+// (e.g. 530 before any data connection exists) cancels the receive
+// instead of timing it out. The error is the control channel's, else the
+// final reply's, else the receive's: the server's error reply names the
+// root cause, and a receive it cancels is just its consequence.
+func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) error {
+	in, err := c.receive(c.setup(), c.task, "get")
+	if err != nil {
+		c.ctrl.ReadFinalReply(nil)
+		return err
 	}
-	cancel := make(chan struct{})
-	var cancelOnce sync.Once
-	cancelRecv := func() { cancelOnce.Do(func() { close(cancel) }) }
-	// Stream telemetry: instrument connections as they join the receive,
-	// and let the stall watchdog cancel it. accept runs on recvModeE's
-	// single acceptor goroutine, so the index needs no lock.
-	var tracker *streamstats.Transfer
-	if c.streams != nil {
-		tracker = c.streams.Begin(c.task, "get")
-		tracker.SetAbort(cancelRecv)
-		base := accept
-		idx := 0
-		accept = func(stop <-chan struct{}) (net.Conn, error) {
-			conn, err := base(stop)
-			if err != nil {
-				return conn, err
-			}
-			i := idx
-			idx++
-			return tracker.Wrap(i, conn, conn), nil
-		}
-	}
-	type finalReply struct {
-		r   ftp.Reply
-		err error
-	}
-	replyCh := make(chan finalReply, 1)
+	replyCh := make(chan error, 1)
 	go func() {
 		r, err := c.ctrl.ReadFinalReply(func(p ftp.Reply) {
 			// The sender's 150 announces the transfer size; preallocating
@@ -1013,73 +848,28 @@ func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) (recvResult, 
 			}
 			c.handlePreliminary(p)
 		})
-		replyCh <- finalReply{r, err}
+		if err == nil {
+			err = r.Err()
+		}
+		replyCh <- err
 	}()
 	resCh := make(chan recvResult, 1)
-	go func() { resCh <- recvModeE(accept, dst, received, c.spec.BlockSize, nil, cancel) }()
+	go func() { resCh <- recvModeE(in.accept, dst, received, c.spec.BlockSize, nil, in.cancel) }()
 
 	var res recvResult
-	var fin finalReply
 	select {
 	case res = <-resCh:
-		fin = <-replyCh
-	case fin = <-replyCh:
-		if fin.err != nil || fin.r.Err() != nil {
-			cancelRecv()
+		err = <-replyCh
+	case err = <-replyCh:
+		if err != nil {
+			in.abort()
 		}
 		res = <-resCh
 	}
-	// Any pooled channels the sender declined to reuse are stale.
-	for _, ch := range pooled[pi:] {
-		ch.close()
+	if err == nil {
+		err = res.Err
 	}
-	freshMu.Lock()
-	sealed = true
-	all := append(pooled[:pi:pi], fresh...)
-	freshMu.Unlock()
-	switch {
-	case fin.err != nil:
-		tracker.Done(fin.err)
-	case fin.r.Err() != nil:
-		tracker.Done(fin.r.Err())
-	default:
-		tracker.Done(res.Err)
-	}
-	if fin.err != nil || fin.r.Err() != nil || res.Err != nil {
-		closeChannels(all)
-		c.flushPools()
-	} else {
-		c.retire(all, true)
-	}
-	return res, fin.r, fin.err
-}
-
-func (c *Client) acceptOne() (net.Conn, error) {
-	return c.acceptOneStop(nil)
-}
-
-func (c *Client) acceptOneStop(stop <-chan struct{}) (net.Conn, error) {
-	c.lmu.Lock()
-	l, conns, errs := c.dataListener, c.acceptCh, c.acceptErr
-	c.lmu.Unlock()
-	if l == nil {
-		return nil, errors.New("gridftp: no data listener")
-	}
-	if stop == nil {
-		stop = make(chan struct{})
-	}
-	t := time.NewTimer(30 * time.Second)
-	defer t.Stop()
-	select {
-	case conn := <-conns:
-		return conn, nil
-	case err := <-errs:
-		return nil, err
-	case <-stop:
-		return nil, errors.New("gridftp: transfer concluded")
-	case <-t.C:
-		return nil, errors.New("gridftp: timed out waiting for data connection")
-	}
+	return in.end(err)
 }
 
 // --- Simple file operations ---
@@ -1144,7 +934,7 @@ func (c *Client) Stat(path string) (string, error) {
 
 // List runs MLSD over a fresh data channel and returns the entry lines.
 func (c *Client) List(path string) ([]string, error) {
-	c.flushPools()
+	c.reset()
 	if err := c.ensurePassive(); err != nil {
 		return nil, err
 	}
@@ -1152,7 +942,7 @@ func (c *Client) List(path string) ([]string, error) {
 	if err := c.ctrl.Cmd("MLSD", "%s", path); err != nil {
 		return nil, err
 	}
-	chans, err := c.dialData(1)
+	chans, err := c.establish(1, c.setup())
 	if err != nil {
 		c.ctrl.ReadFinalReply(nil)
 		return nil, err

@@ -176,11 +176,11 @@ func (sess *session) handleMode(params string) {
 	switch strings.ToUpper(params) {
 	case "S":
 		sess.spec.Mode = ModeStream
-		sess.data.flush()
+		sess.flush()
 		sess.reply(ftp.CodeOK, "Mode S ok")
 	case "E":
 		sess.spec.Mode = ModeExtended
-		sess.data.flush()
+		sess.flush()
 		sess.reply(ftp.CodeOK, "Mode E ok")
 	default:
 		sess.reply(ftp.CodeParamNotImpl, "Unsupported mode")
@@ -233,7 +233,7 @@ func (sess *session) handleOpts(params string) {
 			}
 			if n != sess.spec.Parallelism {
 				sess.spec.Parallelism = n
-				sess.data.flush()
+				sess.flush()
 			}
 		case "blocksize":
 			n, err := strconv.Atoi(strings.TrimSpace(val))
@@ -252,7 +252,7 @@ func (sess *session) handleOpts(params string) {
 				sess.reply(ftp.CodeParamNotImpl, "Unknown transport "+val)
 				return
 			}
-			sess.data.flush()
+			sess.flush()
 		case "deflate":
 			on := strings.TrimSpace(val) == "1"
 			if !on && strings.TrimSpace(val) != "0" {
@@ -261,7 +261,7 @@ func (sess *session) handleOpts(params string) {
 			}
 			if on != sess.spec.Deflate {
 				sess.spec.Deflate = on
-				sess.data.flush()
+				sess.flush()
 			}
 		case "markers":
 			d, err := strconv.Atoi(strings.TrimSpace(val))
@@ -290,7 +290,7 @@ func (sess *session) handleProt(params string) {
 		sess.reply(ftp.CodeParamNotImpl, "PROT level not supported")
 		return
 	}
-	sess.data.flush()
+	sess.flush()
 	sess.reply(ftp.CodeOK, "Protection level set")
 }
 
@@ -307,7 +307,7 @@ func (sess *session) handleDCAU(params string) {
 		sess.reply(ftp.CodeParamNotImpl, "DCAU mode not supported")
 		return
 	}
-	sess.data.flush()
+	sess.flush()
 	sess.reply(ftp.CodeOK, "DCAU set")
 }
 
@@ -319,7 +319,7 @@ func (sess *session) handleDCSC(params string) {
 	switch strings.ToUpper(ctype) {
 	case "D":
 		sess.dcsc = nil
-		sess.data.flush()
+		sess.flush()
 		sess.reply(ftp.CodeOK, "Data channel security context reset to default")
 	case "P":
 		if !printableASCII(blob) || blob == "" {
@@ -333,7 +333,7 @@ func (sess *session) handleDCSC(params string) {
 		}
 		ctx.ExpectIdentity = ctx.Cred.Identity()
 		sess.dcsc = ctx // a DCSC P command overwrites any previous request
-		sess.data.flush()
+		sess.flush()
 		sess.reply(ftp.CodeOK, "Data channel security context installed")
 	default:
 		sess.reply(ftp.CodeParamNotImpl, "Unknown DCSC context type")

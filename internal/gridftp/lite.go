@@ -35,6 +35,7 @@ func (s *Server) ServeLite(conn net.Conn, localUser string) {
 		authenticated: true,
 		localUser:     localUser,
 		lite:          true,
+		dataEndpoint:  s.newDataEndpoint(),
 	}
 	sess.spec.DCAU = DCAUNone
 	defer sess.close()
@@ -83,6 +84,8 @@ func DialLite(host *netsim.Host, conn net.Conn) (*Client, error) {
 		ctrl: ftp.NewConn(conn),
 		host: host,
 		spec: ChannelSpec{Mode: ModeExtended, DCAU: DCAUNone}.Normalize(),
+
+		dataEndpoint: dataEndpoint{dialFrom: []*netsim.Host{host}},
 	}
 	c.spec.DCAU = DCAUNone
 	if _, err := c.ctrl.Expect(ftp.CodeReadyForNewUser); err != nil {

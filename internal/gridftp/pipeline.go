@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gridftp.dev/instant/internal/dsi"
-	"gridftp.dev/instant/internal/ftp"
 )
 
 // Command pipelining (§II.A [11] of the paper): for lots-of-small-files
@@ -41,31 +40,17 @@ func (c *Client) GetMany(items []GetItem) error {
 	}
 	// Pipeline: all commands at once.
 	for _, it := range items {
+		c.countCommand("RETR")
 		if err := c.ctrl.Cmd("RETR", "%s", it.Path); err != nil {
 			return err
 		}
 	}
-	// Then drain the transfers in order.
+	// Then drain the transfers in order; a failed reply (e.g. a 550 for a
+	// missing file mid-pipeline) cancels its receive.
 	for i, it := range items {
-		if err := c.recvOne(it.Dst); err != nil {
+		if err := c.recvWithReplies(it.Dst, NewRangeSet()); err != nil {
 			return fmt.Errorf("gridftp: pipelined get %d (%s): %w", i, it.Path, err)
 		}
-	}
-	return nil
-}
-
-// recvOne receives one MODE E transfer using pooled or fresh channels and
-// consumes its final reply (canceling the receive if the reply reports an
-// error, e.g. a 550 for a missing file mid-pipeline).
-func (c *Client) recvOne(dst dsi.File) error {
-	res, r, rerr := c.recvWithReplies(dst, NewRangeSet())
-	switch {
-	case rerr != nil:
-		return rerr
-	case r.Err() != nil:
-		return r.Err()
-	case res.Err != nil:
-		return res.Err
 	}
 	return nil
 }
@@ -85,46 +70,19 @@ func (c *Client) PutMany(items []PutItem) error {
 		}
 	}
 	for _, it := range items {
+		c.countCommand("STOR")
 		if err := c.ctrl.Cmd("STOR", "%s", it.Path); err != nil {
 			return err
 		}
 	}
 	for i, it := range items {
-		if err := c.sendOne(it.Src); err != nil {
+		size, err := it.Src.Size()
+		if err == nil {
+			err = c.sendWithReplies(it.Src, []Range{{0, size}}, nil)
+		}
+		if err != nil {
 			return fmt.Errorf("gridftp: pipelined put %d (%s): %w", i, it.Path, err)
 		}
 	}
-	return nil
-}
-
-// sendOne sends one MODE E transfer over pooled or fresh channels and
-// consumes its final reply.
-func (c *Client) sendOne(src dsi.File) error {
-	size, err := src.Size()
-	if err != nil {
-		return err
-	}
-	chans, err := c.dialData(c.spec.Parallelism)
-	if err != nil {
-		c.ctrl.ReadFinalReply(nil)
-		return err
-	}
-	sendErr := sendModeE(secConns(chans), src, []Range{{0, size}}, c.spec.BlockSize, nil)
-	r, rerr := c.ctrl.ReadFinalReply(func(p ftp.Reply) { c.handlePreliminary(p) })
-	switch {
-	case sendErr != nil:
-		closeChannels(chans)
-		c.flushPools()
-		return sendErr
-	case rerr != nil:
-		closeChannels(chans)
-		c.flushPools()
-		return rerr
-	case r.Err() != nil:
-		closeChannels(chans)
-		c.flushPools()
-		return r.Err()
-	}
-	c.retire(chans, true)
 	return nil
 }

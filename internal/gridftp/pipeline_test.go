@@ -7,7 +7,10 @@ import (
 	"time"
 
 	"gridftp.dev/instant/internal/dsi"
+	"gridftp.dev/instant/internal/gsi"
 	"gridftp.dev/instant/internal/netsim"
+	"gridftp.dev/instant/internal/obs"
+	"gridftp.dev/instant/internal/obs/streamstats"
 )
 
 func TestPutManyGetManyRoundTrip(t *testing.T) {
@@ -104,4 +107,59 @@ func TestPipeliningBeatsSequentialOnHighRTT(t *testing.T) {
 		t.Fatalf("pipelining (%v) should beat sequential (%v) at 20ms RTT", piped, seq)
 	}
 	t.Logf("sequential %v, pipelined %v (%.1fx)", seq, piped, float64(seq)/float64(piped))
+}
+
+// TestPipelinedTransfersReachClientTelemetry checks that GetMany and
+// PutMany go through the same client bookkeeping as Get and Put: one
+// command count per transfer and one finished stream-telemetry transfer
+// per file.
+func TestPipelinedTransfersReachClientTelemetry(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	proxy, err := gsi.NewProxy(s.user, gsi.ProxyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.Nop()
+	streams := streamstats.New(streamstats.Options{})
+	defer streams.Close()
+	c, err := DialWithOptions(nw.Host("laptop"), s.addr, proxy, s.trust, DialOptions{Obs: o, Streams: streams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Delegate(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 4
+	var puts []PutItem
+	var gets []GetItem
+	for i := 0; i < n; i++ {
+		path := fmt.Sprintf("/t%d", i)
+		puts = append(puts, PutItem{Path: path, Src: dsi.NewBufferFile(pattern(5000 + i))})
+		gets = append(gets, GetItem{Path: path, Dst: dsi.NewBufferFile(nil)})
+	}
+	if err := c.PutMany(puts); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.GetMany(gets); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, cmd := range []string{"STOR", "RETR"} {
+		if v := o.Registry().Counter(obs.Name("gridftp.client.commands", "cmd="+cmd)).Value(); v != n {
+			t.Errorf("counted %d %s commands, want %d", v, cmd, n)
+		}
+	}
+	verbs := make(map[string]int)
+	for _, th := range streams.Health() {
+		if !th.Done || th.Error != "" {
+			t.Errorf("stream transfer %s/%s: done=%v err=%q", th.Label, th.Verb, th.Done, th.Error)
+		}
+		verbs[th.Verb]++
+	}
+	if verbs["put"] != n || verbs["get"] != n {
+		t.Errorf("stream telemetry recorded %v, want %d put and %d get", verbs, n, n)
+	}
 }

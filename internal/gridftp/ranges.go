@@ -1,7 +1,9 @@
 package gridftp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,16 +44,13 @@ func (s *RangeSet) Add(start, end int64) {
 	for j < len(s.ranges) && s.ranges[j].Start <= end {
 		j++
 	}
-	if i < j {
-		if s.ranges[i].Start < start {
-			start = s.ranges[i].Start
-		}
-		if s.ranges[j-1].End > end {
-			end = s.ranges[j-1].End
-		}
+	// Edit in place: this runs once per received MODE E block.
+	if i == j {
+		s.ranges = slices.Insert(s.ranges, i, Range{start, end})
+		return
 	}
-	merged := append(s.ranges[:i:i], Range{start, end})
-	s.ranges = append(merged, s.ranges[j:]...)
+	s.ranges[i] = Range{min(start, s.ranges[i].Start), max(end, s.ranges[j-1].End)}
+	s.ranges = slices.Delete(s.ranges, i+1, j)
 }
 
 // Ranges returns a copy of the current ranges.
@@ -152,11 +151,23 @@ func ParseRanges(s string) ([]Range, error) {
 	return out, nil
 }
 
-// FromRanges builds a set containing the given ranges.
+// FromRanges builds a set containing the given ranges, which may come in
+// any order and overlap: it sorts them once and merges in one pass.
 func FromRanges(rs []Range) *RangeSet {
-	s := NewRangeSet()
+	sorted := make([]Range, 0, len(rs))
 	for _, r := range rs {
-		s.Add(r.Start, r.End)
+		if r.End > r.Start {
+			sorted = append(sorted, r)
+		}
 	}
-	return s
+	slices.SortFunc(sorted, func(a, b Range) int { return cmp.Compare(a.Start, b.Start) })
+	merged := sorted[:0]
+	for _, r := range sorted {
+		if n := len(merged); n > 0 && r.Start <= merged[n-1].End {
+			merged[n-1].End = max(merged[n-1].End, r.End)
+			continue
+		}
+		merged = append(merged, r)
+	}
+	return &RangeSet{ranges: merged}
 }

@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -216,5 +217,57 @@ func TestBlockPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRangeSetAddAdjacentAllocatesNothing pins the in-place Add: the
+// receive loop calls it once per MODE E block, and a block usually extends
+// an existing range.
+func TestRangeSetAddAdjacentAllocatesNothing(t *testing.T) {
+	s := NewRangeSet()
+	for i := int64(0); i < 64; i++ {
+		s.Add(i*100, i*100+10)
+	}
+	end := s.Ranges()[63].End
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Add(end, end+10)
+		end += 10
+	})
+	if allocs != 0 {
+		t.Fatalf("adjacent Add allocated %.1f times, want 0", allocs)
+	}
+	if n := len(s.Ranges()); n != 64 {
+		t.Fatalf("adjacent adds left %d ranges, want 64", n)
+	}
+}
+
+// TestFromRangesAllocsIndependentOfSize pins FromRanges to one sort and
+// one merge pass: a REST line may carry tens of thousands of ranges.
+func TestFromRangesAllocsIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		// Instrumented, an 80k-range call outlasts a scheduler time
+		// slice, so other goroutines' allocations land in the count.
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	input := func(n int) []Range {
+		rs := make([]Range, n)
+		for i := range rs {
+			start := int64(i) * 10
+			rs[i] = Range{start, start + 5}
+		}
+		return rs
+	}
+	small, large := input(1000), input(80000)
+	// A collection triggered by the large inputs can allocate on its own
+	// account; keep it out of the count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocsSmall := testing.AllocsPerRun(20, func() { FromRanges(small) })
+	allocsLarge := testing.AllocsPerRun(5, func() { FromRanges(large) })
+	if allocsSmall != allocsLarge || allocsLarge > 3 {
+		t.Fatalf("FromRanges allocated %.0f times for 1k ranges and %.0f for 80k, want the same bounded count",
+			allocsSmall, allocsLarge)
+	}
+	if got := len(FromRanges(large).Ranges()); got != 80000 {
+		t.Fatalf("FromRanges kept %d of 80000 disjoint ranges", got)
 	}
 }

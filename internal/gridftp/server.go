@@ -156,6 +156,26 @@ func (s *Server) serveLoop(l net.Listener) {
 	}
 }
 
+// stripeHosts returns the hosts of a striped server's stripe nodes.
+func (s *Server) stripeHosts() []*netsim.Host {
+	hosts := make([]*netsim.Host, len(s.cfg.StripeNodes))
+	for i, n := range s.cfg.StripeNodes {
+		hosts[i] = n.Host
+	}
+	return hosts
+}
+
+// newDataEndpoint returns a new session's data endpoint: outbound channels
+// originate from the stripe nodes of a striped server, else the PI host.
+func (s *Server) newDataEndpoint() dataEndpoint {
+	e := dataEndpoint{dialFrom: []*netsim.Host{s.host}, wait: s.cfg.DataTimeout,
+		noCache: s.cfg.DisableChannelCache, streams: s.cfg.Streams}
+	if len(s.cfg.StripeNodes) > 0 {
+		e.dialFrom = s.stripeHosts()
+	}
+	return e
+}
+
 // session is the per-control-connection state machine.
 type session struct {
 	srv  *Server
@@ -213,7 +233,7 @@ type session struct {
 	// the command loop.
 	lastReplyCode int
 
-	data sessionData
+	dataEndpoint
 }
 
 func (s *Server) serveSession(conn net.Conn) {
@@ -225,6 +245,8 @@ func (s *Server) serveSession(conn net.Conn) {
 		log:  s.log.With("session", id, "remote", conn.RemoteAddr().String()),
 		spec: ChannelSpec{}.Normalize(),
 		cwd:  "/",
+
+		dataEndpoint: s.newDataEndpoint(),
 	}
 	reg := s.cfg.Obs.Registry()
 	ev := s.cfg.Obs.EventLog()
@@ -253,7 +275,7 @@ func (s *Server) serveSession(conn net.Conn) {
 }
 
 func (sess *session) close() {
-	sess.data.closeAll()
+	sess.dataEndpoint.close()
 	sess.ctrl.Close()
 }
 
@@ -422,7 +444,7 @@ func (sess *session) handleDelegation() {
 		return
 	}
 	sess.delegated = cred
-	sess.data.flush() // security context changed
+	sess.flush() // security context changed
 	sess.reply(ftp.CodeOK, "Delegation complete")
 }
 

@@ -109,11 +109,12 @@ func (h *pipeHalf) sleepUntil(t time.Time) bool {
 		}
 	}
 	tm := leaseTimer(d)
-	defer releaseTimer(tm)
 	select {
 	case <-tm.C:
+		releaseTimer(tm, true)
 		return true
 	case <-h.deadCh:
+		releaseTimer(tm, false)
 		return false
 	}
 }
@@ -132,15 +133,14 @@ func leaseTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
-func releaseTimer(t *time.Timer) {
-	if !t.Stop() {
-		// Drain a fire that raced the Stop so the next lease starts clean.
-		select {
-		case <-t.C:
-		default:
-		}
+// releaseTimer returns t to the pool once its channel is known to stay
+// empty: its fire was received (fired), or Stop caught it before firing.
+// Otherwise the fire may still be on its way into the channel, where it
+// would end the next lease's wait at once, so t is dropped.
+func releaseTimer(t *time.Timer, fired bool) {
+	if fired || t.Stop() {
+		timerPool.Put(t)
 	}
-	timerPool.Put(t)
 }
 
 func signal(ch chan struct{}) {
@@ -334,11 +334,12 @@ func waitSignal(ch chan struct{}, deadline time.Time) error {
 		return os.ErrDeadlineExceeded
 	}
 	t := leaseTimer(d)
-	defer releaseTimer(t)
 	select {
 	case <-ch:
+		releaseTimer(t, false)
 		return nil
 	case <-t.C:
+		releaseTimer(t, true)
 		return os.ErrDeadlineExceeded
 	}
 }

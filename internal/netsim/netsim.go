@@ -349,11 +349,11 @@ func (h *Host) dialContext(ctx context.Context, target string, tr Transport) (ne
 		t := leaseTimer(rtt)
 		select {
 		case <-t.C:
+			releaseTimer(t, true)
 		case <-ctx.Done():
-			releaseTimer(t)
+			releaseTimer(t, false)
 			return nil, ctx.Err()
 		}
-		releaseTimer(t)
 	}
 	local, remote := newConnPair(lk, tr, addr{h.name, ephemeralPort()}, addr{thost, tport})
 	if !lk.register(local) {

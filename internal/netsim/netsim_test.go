@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -173,6 +174,44 @@ func TestReadDeadline(t *testing.T) {
 	_, err = c.Read(buf)
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("want deadline exceeded, got %v", err)
+	}
+}
+
+// TestPooledTimerNeverFiresEarly races deadline waits against the signals
+// they guard, so wait timers fire just as their waits end. A fire that
+// reaches a timer's channel after the wait returned must not carry over to
+// the next lease of that timer: there it would end, say, a handshake read
+// with a 30-second deadline at once with a deadline error.
+func TestPooledTimerNeverFiresEarly(t *testing.T) {
+	var stale atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ready := make(chan struct{}, 1)
+			for i := 0; i < 2500; i++ {
+				go func() {
+					time.Sleep(20 * time.Microsecond)
+					signal(ready)
+				}()
+				if waitSignal(ready, time.Now().Add(20*time.Microsecond)) != nil {
+					<-ready
+				}
+				tm := leaseTimer(time.Hour)
+				time.Sleep(time.Microsecond) // let a late fire land
+				select {
+				case <-tm.C:
+					stale.Add(1)
+				default:
+				}
+				releaseTimer(tm, false)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := stale.Load(); n > 0 {
+		t.Fatalf("%d one-hour timer leases fired at once", n)
 	}
 }
 

@@ -1,10 +1,11 @@
 #!/bin/sh
 # check.sh — the pre-commit gate: gofmt, build, vet, full test suite, the
 # benchmark module's vet and tests, and the race detector on the
-# concurrency-heavy packages (the observability registry/tracer/eventlog,
-# the continuous profiler, the admin HTTP plane, the GridFTP engine with
-# its marker emitters, the hosted transfer service, and the network
-# simulator).
+# concurrency-heavy packages (the observability tree with the continuous
+# profiler, the admin HTTP plane, the GridFTP engine with its marker
+# emitters and data-channel endpoint, the hosted transfer service, and the
+# network simulator), once more at GOMAXPROCS=1 for the GridFTP engine and
+# the transfer service.
 #
 # Usage: ./scripts/check.sh [extra go-test args]
 set -eu
@@ -32,20 +33,19 @@ go test "$@" ./...
 echo "==> perfbench: go vet ./... && go test ./..."
 (cd perfbench && go vet ./... && go test "$@" ./...)
 
-echo "==> go test -race (obs tree, collector, tenant, streamstats, profile, fleet, admin, gridftp, xio, transfer, netsim, usagestats)"
+echo "==> go test -race (obs tree, admin, gridftp, xio, transfer, netsim, usagestats)"
 go test -race "$@" \
 	./internal/obs/... \
-	./internal/obs/collector/ \
-	./internal/obs/tsdb/ \
-	./internal/obs/tenant/ \
-	./internal/obs/streamstats/ \
-	./internal/obs/profile/ \
-	./internal/obs/fleet/ \
 	./internal/admin/ \
 	./internal/gridftp/ \
 	./internal/xio/ \
 	./internal/transfer/ \
 	./internal/netsim/ \
 	./internal/usagestats/
+
+# One P and repeated runs reorder the data-channel accept pumps, the
+# handshake goroutines and the receive's seal against each other.
+echo "==> GOMAXPROCS=1 go test -race -count=3 (gridftp, transfer)"
+GOMAXPROCS=1 go test -race -count=3 "$@" ./internal/gridftp/ ./internal/transfer/
 
 echo "OK"
