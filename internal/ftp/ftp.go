@@ -7,6 +7,7 @@ package ftp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -64,20 +65,25 @@ func (c Command) String() string {
 	return c.Name + " " + c.Params
 }
 
-// ParseCommand parses one command line (without CRLF).
+// ErrMalformedCommand marks a line that is not a command: it is empty or
+// its verb is not all ASCII letters. The connection itself is fine.
+var ErrMalformedCommand = errors.New("ftp: malformed command")
+
+// ParseCommand parses one command line (without CRLF). The verb must be
+// ASCII letters; it is upper-cased byte for byte, so no other letter can
+// fold into an ASCII verb.
 func ParseCommand(line string) (Command, error) {
 	line = strings.TrimRight(line, "\r\n")
-	if line == "" {
-		return Command{}, fmt.Errorf("ftp: empty command")
-	}
 	name, params, _ := strings.Cut(line, " ")
-	name = strings.ToUpper(name)
-	for _, r := range name {
-		if r < 'A' || r > 'Z' {
-			return Command{}, fmt.Errorf("ftp: malformed command %q", line)
+	if name == "" {
+		return Command{}, fmt.Errorf("%w: %q has no verb", ErrMalformedCommand, line)
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i] | 0x20; c < 'a' || c > 'z' {
+			return Command{}, fmt.Errorf("%w %q", ErrMalformedCommand, line)
 		}
 	}
-	return Command{Name: name, Params: params}, nil
+	return Command{Name: strings.ToUpper(name), Params: params}, nil
 }
 
 // Reply is one (possibly multi-line) control-channel reply.
@@ -117,6 +123,20 @@ func (r Reply) Err() error {
 		return nil
 	}
 	return &ReplyError{Reply: r}
+}
+
+// Want errors unless the reply's code is one of want: the reply's own
+// error for a 4xx/5xx, else an "unexpected reply" error.
+func (r Reply) Want(want ...int) error {
+	for _, w := range want {
+		if r.Code == w {
+			return nil
+		}
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("ftp: unexpected reply %s (want %v)", r, want)
 }
 
 // ReplyError wraps an error reply.
@@ -189,9 +209,16 @@ func (c *Conn) ReadCommand() (Command, error) {
 }
 
 // WriteCommand sends a command line.
-func (c *Conn) WriteCommand(cmd Command) error {
-	if _, err := c.bw.WriteString(cmd.String() + "\r\n"); err != nil {
-		return err
+func (c *Conn) WriteCommand(cmd Command) error { return c.WriteCommands(cmd) }
+
+// WriteCommands sends several command lines back to back in one flush: a
+// pipelined batch, whose replies arrive one final reply per command, in
+// order, because the peer reads and answers commands serially.
+func (c *Conn) WriteCommands(cmds ...Command) error {
+	for _, cmd := range cmds {
+		if _, err := c.bw.WriteString(cmd.String() + "\r\n"); err != nil {
+			return err
+		}
 	}
 	return c.bw.Flush()
 }
@@ -292,15 +319,7 @@ func (c *Conn) Expect(want ...int) (Reply, error) {
 	if err != nil {
 		return Reply{}, err
 	}
-	for _, w := range want {
-		if r.Code == w {
-			return r, nil
-		}
-	}
-	if err := r.Err(); err != nil {
-		return r, err
-	}
-	return r, fmt.Errorf("ftp: unexpected reply %s (want %v)", r, want)
+	return r, r.Want(want...)
 }
 
 const maxLineLen = 1 << 20 // DCSC blobs ride on command lines; allow 1 MiB

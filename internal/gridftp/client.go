@@ -2,7 +2,6 @@ package gridftp
 
 import (
 	"crypto/tls"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -183,6 +182,9 @@ func (c *Client) Delegate(lifetime time.Duration) error {
 		return err
 	}
 	c.delegated = true
+	// The server flushes its channel pools on DELG (the security context
+	// changed); keep the pools in lockstep.
+	c.reset()
 	return nil
 }
 
@@ -210,36 +212,6 @@ func (c *Client) SupportsDCSC() bool {
 		}
 	}
 	return false
-}
-
-// SupportsTrace reports whether the server advertises the TRACE feature
-// (distributed trace-context propagation via SITE TRACE).
-func (c *Client) SupportsTrace() bool {
-	feats, err := c.Features()
-	if err != nil {
-		return false
-	}
-	for _, f := range feats {
-		if strings.EqualFold(strings.TrimSpace(f), "TRACE") {
-			return true
-		}
-	}
-	return false
-}
-
-// PropagateTrace binds the server session to sc via SITE TRACE, so the
-// server's subsequent transfer spans join the caller's trace. It returns
-// joined=false with no error when sc is invalid or the server does not
-// advertise TRACE — propagation degrades to the server rooting its spans
-// locally, never to a protocol error.
-func (c *Client) PropagateTrace(sc obs.SpanContext) (joined bool, err error) {
-	if !sc.Valid() || !c.SupportsTrace() {
-		return false, nil
-	}
-	if _, err := c.cmdExpect("SITE", "TRACE "+obs.Inject(sc), ftp.CodeOK); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // SetParallelism negotiates the number of parallel data streams.
@@ -280,17 +252,6 @@ func (c *Client) Allocate(size int64) {
 		return
 	}
 	c.ctrl.ReadFinalReply(nil)
-}
-
-// SetMarkerInterval asks the receiving server to emit restart markers
-// every interval (rounded to milliseconds).
-func (c *Client) SetMarkerInterval(interval time.Duration) error {
-	ms := int(interval / time.Millisecond)
-	if _, err := c.cmdExpect("OPTS", fmt.Sprintf("RETR Markers=%d;", ms), ftp.CodeOK); err != nil {
-		return err
-	}
-	c.spec.MarkerInterval = interval
-	return nil
 }
 
 // SetMode switches between stream (S) and extended block (E) mode.
@@ -362,31 +323,6 @@ func (c *Client) SetProt(p ProtLevel) error {
 	c.spec.Prot = p
 	c.reset()
 	return nil
-}
-
-// SendDCSC installs a data channel security context on the server (§V):
-// the server will both present and accept the given credential on its
-// data channels. Works against the single DCSC-capable endpoint of a
-// transfer even when the other endpoint is a legacy server.
-func (c *Client) SendDCSC(cred *gsi.Credential) error {
-	blob, err := EncodeDCSCBlob(cred)
-	if err != nil {
-		return err
-	}
-	_, err = c.cmdExpect("DCSC", "P "+blob, ftp.CodeOK)
-	if err == nil {
-		c.reset()
-	}
-	return err
-}
-
-// ResetDCSC reverts the server's data channel security context ("DCSC D").
-func (c *Client) ResetDCSC() error {
-	_, err := c.cmdExpect("DCSC", "D", ftp.CodeOK)
-	if err == nil {
-		c.reset()
-	}
-	return err
 }
 
 // SetRestart arms restart ranges (bytes already transferred) for the next
@@ -609,23 +545,6 @@ func (c *Client) PerfSnapshot() (total int64, stripes, markers int) {
 // OnPerf registers a callback receiving in-flight 112 performance markers
 // during transfers.
 func (c *Client) OnPerf(cb func(PerfMarker)) { c.perfCB = cb }
-
-// SetTask labels this session's transfers in the stream-telemetry plane,
-// both locally and — via SITE TASK — on the server, so the per-stream
-// series of both ends of a transfer share one task prefix. A server
-// without the extension replies 500; that degrades to local-only labeling
-// rather than an error.
-func (c *Client) SetTask(label string) error {
-	c.task = label
-	if _, err := c.cmdExpect("SITE", "TASK "+label, ftp.CodeOK); err != nil {
-		var re *ftp.ReplyError
-		if errors.As(err, &re) && re.Reply.Code == ftp.CodeSyntaxError {
-			return nil
-		}
-		return err
-	}
-	return nil
-}
 
 // TransferStats reports what a transfer moved.
 type TransferStats struct {

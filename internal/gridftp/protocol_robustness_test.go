@@ -68,6 +68,33 @@ func TestServerSurvivesGarbageCommands(t *testing.T) {
 	}
 }
 
+// TestMalformedCommandLinesGet500 sends lines that are not commands —
+// empty, verb-less, a non-letter verb, a non-ASCII letter that upper-cases
+// to an ASCII verb — and checks each gets a 500 while the session lives on.
+func TestMalformedCommandLinesGet500(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	ctrl := rawSession(t, s, nw)
+	for _, line := range []string{"", " NOOP", "NO0P", "ſtor /x", "RE-TR /x"} {
+		if _, err := ctrl.RW().Write([]byte(line + "\r\n")); err != nil {
+			t.Fatalf("send %q: %v", line, err)
+		}
+		r, err := ctrl.ReadFinalReply(nil)
+		if err != nil {
+			t.Fatalf("no reply for %q: %v", line, err)
+		}
+		if r.Code != ftp.CodeSyntaxError {
+			t.Errorf("%q: got %s, want 500", line, r)
+		}
+	}
+	if err := ctrl.Cmd("NOOP", ""); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := ctrl.ReadFinalReply(nil); err != nil || r.Code != ftp.CodeOK {
+		t.Fatalf("session dead after malformed lines: %v %v", r, err)
+	}
+}
+
 // TestServerRejectsOversizeParallelism guards the resource bound.
 func TestServerRejectsOversizeParallelism(t *testing.T) {
 	nw := netsim.NewNetwork()

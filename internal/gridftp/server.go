@@ -303,6 +303,10 @@ func (sess *session) loop() {
 	cmdErr := reg.Histogram(obs.Name("gridftp.server.command_seconds", "outcome=err"), obs.DefaultDurationBuckets)
 	for {
 		cmd, err := sess.ctrl.ReadCommand()
+		if errors.Is(err, ftp.ErrMalformedCommand) {
+			sess.reply(ftp.CodeSyntaxError, "Syntax error, command unrecognized")
+			continue
+		}
 		if err != nil {
 			return
 		}

@@ -57,33 +57,20 @@ type ThirdPartyResult struct {
 // (§II.C, §VII of the paper). The destination is the listener, the source
 // issues the connects, exactly as the protocol requires.
 func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts ThirdPartyOptions) (*ThirdPartyResult, error) {
-	if opts.DCSC != nil {
-		switch opts.DCSCTarget {
-		case DCSCSource:
-			if err := src.SendDCSC(opts.DCSC); err != nil {
-				return nil, fmt.Errorf("gridftp: DCSC to source: %w", err)
-			}
-		case DCSCDest:
-			if err := dst.SendDCSC(opts.DCSC); err != nil {
-				return nil, fmt.Errorf("gridftp: DCSC to destination: %w", err)
-			}
-		case DCSCBoth:
-			if err := src.SendDCSC(opts.DCSC); err != nil {
-				return nil, fmt.Errorf("gridftp: DCSC to source: %w", err)
-			}
-			if err := dst.SendDCSC(opts.DCSC); err != nil {
-				return nil, fmt.Errorf("gridftp: DCSC to destination: %w", err)
-			}
-		}
+	// Each endpoint's DCSC and SITE TRACE go out as one pipelined batch.
+	srcSetup := SessionSetup{Trace: opts.Trace}
+	dstSetup := SessionSetup{Trace: opts.Trace}
+	if opts.DCSCTarget == DCSCSource || opts.DCSCTarget == DCSCBoth {
+		srcSetup.DCSC = opts.DCSC
 	}
-
-	if opts.Trace.Valid() {
-		if _, err := src.PropagateTrace(opts.Trace); err != nil {
-			return nil, fmt.Errorf("gridftp: trace to source: %w", err)
-		}
-		if _, err := dst.PropagateTrace(opts.Trace); err != nil {
-			return nil, fmt.Errorf("gridftp: trace to destination: %w", err)
-		}
+	if opts.DCSCTarget == DCSCDest || opts.DCSCTarget == DCSCBoth {
+		dstSetup.DCSC = opts.DCSC
+	}
+	if _, err := src.Configure(srcSetup); err != nil {
+		return nil, fmt.Errorf("gridftp: source set-up: %w", err)
+	}
+	if _, err := dst.Configure(dstSetup); err != nil {
+		return nil, fmt.Errorf("gridftp: destination set-up: %w", err)
 	}
 
 	// Both endpoints must agree on the data channel parameters; the

@@ -19,6 +19,21 @@ func obsSite(t *testing.T, nw *netsim.Network, name string, mut ...func(*ServerC
 	return newSite(t, nw, name, muts...), o
 }
 
+// advertises reports whether the server lists feature in its FEAT reply.
+func advertises(t *testing.T, c *Client, feature string) bool {
+	t.Helper()
+	feats, err := c.Features()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range feats {
+		if strings.EqualFold(strings.TrimSpace(f), feature) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestSiteHelpAndUnknown(t *testing.T) {
 	nw := netsim.NewNetwork()
 	s := newSite(t, nw, "siteA")
@@ -53,7 +68,7 @@ func TestSiteTraceBindsTransferSpans(t *testing.T) {
 	s.putFile(t, "/data.bin", pattern(128<<10))
 	c := s.connect(t, nw.Host("laptop"), true)
 
-	if !c.SupportsTrace() {
+	if !advertises(t, c, "TRACE") {
 		t.Fatal("server should advertise TRACE")
 	}
 	caller := obs.NewTracer()
@@ -156,7 +171,7 @@ func TestTraceDisabledDegradesGracefully(t *testing.T) {
 	s.putFile(t, "/data.bin", pattern(32<<10))
 	c := s.connect(t, nw.Host("laptop"), true)
 
-	if c.SupportsTrace() {
+	if advertises(t, c, "TRACE") {
 		t.Fatal("DisableTrace server must not advertise TRACE")
 	}
 	caller := obs.NewTracer()

@@ -23,6 +23,10 @@ func (u URL) IsLocal() bool { return u.Scheme == "file" }
 // String renders the URL.
 func (u URL) String() string {
 	if u.IsLocal() {
+		if strings.HasPrefix(u.Path, "//") {
+			// "file:" + "//x" would read back as the file:// form, "/x".
+			return "file://" + u.Path
+		}
 		return "file:" + u.Path
 	}
 	return fmt.Sprintf("%s://%s%s", u.Scheme, u.Host, u.Path)

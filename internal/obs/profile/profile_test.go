@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -34,14 +36,24 @@ func newTestProfiler(o *obs.Obs) (*Profiler, *syntheticClock) {
 	return p, clk
 }
 
+// captureAfterGC runs one capture after a completed GC cycle. The allocs
+// profile publishes allocations only as of the last finished GC, so a
+// window whose allocations did not trigger one (a large heap goal left by
+// an earlier test is enough) would see them late or not at all.
+func captureAfterGC(t *testing.T, p *Profiler, what string) {
+	t.Helper()
+	runtime.GC()
+	if _, err := p.CaptureOnce(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
 func TestCaptureWindowsAndRings(t *testing.T) {
 	o := obs.Nop()
 	p, _ := newTestProfiler(o)
 	for i := 0; i < 12; i++ {
 		sink := chewMemory(300)
-		if _, err := p.CaptureOnce(); err != nil {
-			t.Fatalf("capture %d: %v", i, err)
-		}
+		captureAfterGC(t, p, fmt.Sprintf("capture %d", i))
 		_ = sink
 	}
 	wins := p.Windows()
@@ -103,13 +115,9 @@ func TestProfileSummaryNotReadyBeforeBaseline(t *testing.T) {
 
 func TestAllocAttributionNamesOwner(t *testing.T) {
 	p, _ := newTestProfiler(obs.Nop())
-	if _, err := p.CaptureOnce(); err != nil { // baseline
-		t.Fatalf("baseline: %v", err)
-	}
+	captureAfterGC(t, p, "baseline")
 	sink := chewMemory(2000) // ~8 MB inside the window
-	if _, err := p.CaptureOnce(); err != nil {
-		t.Fatalf("capture: %v", err)
-	}
+	captureAfterGC(t, p, "capture")
 	_ = sink
 	table := p.Top(KindHeap, 10)
 	for _, f := range table {
@@ -122,17 +130,11 @@ func TestAllocAttributionNamesOwner(t *testing.T) {
 
 func TestDiffWindowsSeesGrowth(t *testing.T) {
 	p, _ := newTestProfiler(obs.Nop())
-	if _, err := p.CaptureOnce(); err != nil { // baseline
-		t.Fatalf("baseline: %v", err)
-	}
-	if _, err := p.CaptureOnce(); err != nil { // quiet window
-		t.Fatalf("quiet: %v", err)
-	}
+	captureAfterGC(t, p, "baseline")
+	captureAfterGC(t, p, "quiet window")
 	quietID, _ := p.LatestID()
 	sink := chewMemory(2000)
-	if _, err := p.CaptureOnce(); err != nil { // busy window
-		t.Fatalf("busy: %v", err)
-	}
+	captureAfterGC(t, p, "busy window")
 	_ = sink
 	busyID, _ := p.LatestID()
 	diff, ok := p.DiffWindows(quietID, busyID, KindHeap)

@@ -136,60 +136,54 @@ func (p *sessionPair) measureRTT() time.Duration {
 	return time.Since(start)
 }
 
-// dialPair opens one worker's session pair: dial both endpoints,
-// delegate, join the caller's trace, set the marker cadence, label both
-// sessions with the task id for stream telemetry (SITE TASK — the
-// destination publishes its streams as "<task>", the source as
-// "<task>-src"), and — for cross-CA endpoint pairs — install the source
-// credential on the destination via DCSC once per session instead of
-// once per file.
+// dialPair opens one worker's session pair. The two legs negotiate
+// concurrently, each dialing, delegating and then installing its session
+// set-up in one pipelined round trip: join the caller's trace (SITE
+// TRACE), set the destination's marker cadence, label both sessions with
+// the task id for stream telemetry (SITE TASK — the destination publishes
+// its streams as "<task>", the source as "<task>-src"), and — for cross-CA
+// endpoint pairs — install the source credential on the destination via
+// DCSC once per session instead of once per file. If either leg fails,
+// both sessions close and the source's error wins.
 func (s *Service) dialPair(srcEP, dstEP *Endpoint, srcProxy, dstProxy *gsi.Credential, sc obs.SpanContext, crossCA bool, taskLabel string) (*sessionPair, error) {
 	dialOpts := gridftp.DialOptions{Obs: s.cfg.Obs, Streams: s.cfg.Streams}
-	src, err := gridftp.DialWithOptions(s.host, srcEP.GridFTPAddr, srcProxy, srcEP.Trust, dialOpts)
-	if err != nil {
-		return nil, err
-	}
-	dst, err := gridftp.DialWithOptions(s.host, dstEP.GridFTPAddr, dstProxy, dstEP.Trust, dialOpts)
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	pair := &sessionPair{src: src, dst: dst}
-	for _, step := range []func() error{
-		func() error { return src.Delegate(2 * time.Hour) },
-		func() error { return dst.Delegate(2 * time.Hour) },
-		// Bind both servers' transfer spans to the caller's trace (SITE
-		// TRACE). Endpoints without the feature keep rooting locally.
-		func() error { _, err := src.PropagateTrace(sc); return err },
-		func() error { _, err := dst.PropagateTrace(sc); return err },
-		func() error { return dst.SetMarkerInterval(s.cfg.MarkerInterval) },
-		// Label both legs for the stream-telemetry plane. SetTask
-		// tolerates endpoints without the SITE TASK extension.
-		func() error {
-			if taskLabel == "" {
-				return nil
-			}
-			return src.SetTask(taskLabel)
-		},
-		func() error {
-			if taskLabel == "" {
-				return nil
-			}
-			return dst.SetTask(taskLabel)
-		},
-	} {
-		if err := step(); err != nil {
-			pair.Close()
+	leg := func(ep *Endpoint, proxy *gsi.Credential, setup gridftp.SessionSetup) (*gridftp.Client, error) {
+		c, err := gridftp.DialWithOptions(s.host, ep.GridFTPAddr, proxy, ep.Trust, dialOpts)
+		if err != nil {
 			return nil, err
 		}
+		if err = c.Delegate(2 * time.Hour); err == nil {
+			_, err = c.Configure(setup)
+		}
+		return c, err
 	}
+	srcSetup := gridftp.SessionSetup{Trace: sc, Task: taskLabel}
+	dstSetup := gridftp.SessionSetup{Trace: sc, MarkerInterval: s.cfg.MarkerInterval, Task: taskLabel}
 	if crossCA {
-		if err := dst.SendDCSC(srcProxy); err != nil {
-			pair.Close()
-			return nil, err
-		}
+		dstSetup.DCSC = srcProxy
+	}
+	pair := &sessionPair{}
+	err := onBothLegs(
+		func() (err error) { pair.src, err = leg(srcEP, srcProxy, srcSetup); return err },
+		func() (err error) { pair.dst, err = leg(dstEP, dstProxy, dstSetup); return err })
+	if err != nil {
+		pair.Close()
+		return nil, err
 	}
 	return pair, nil
+}
+
+// onBothLegs runs the source's and the destination's halves of one step
+// concurrently and returns the source's error if it failed, else the
+// destination's.
+func onBothLegs(src, dst func() error) error {
+	dstErr := make(chan error, 1)
+	go func() { dstErr <- dst() }()
+	err := src()
+	if derr := <-dstErr; err == nil {
+		err = derr
+	}
+	return err
 }
 
 // workerCount sizes a task's fan-out: an explicit Config.TaskConcurrency
@@ -487,12 +481,12 @@ func (s *Service) transferOne(r workerRun, pair *sessionPair, i int) error {
 
 	par := r.tuner.streamsFor(f.size)
 	s.update(r.task, func(t *Task) { t.FileSize = f.size; t.Parallelism = par })
-	// SetParallelism is a no-op round trip when the value is unchanged,
-	// so steady-state small-file streaks negotiate once per worker.
-	if err := pair.src.SetParallelism(par); err != nil {
-		return err
-	}
-	if err := pair.dst.SetParallelism(par); err != nil {
+	// SetParallelism is a no-op when the value is unchanged, so
+	// steady-state small-file streaks negotiate once per worker; a change
+	// goes to both legs at once and costs one round trip.
+	if err := onBothLegs(
+		func() error { return pair.src.SetParallelism(par) },
+		func() error { return pair.dst.SetParallelism(par) }); err != nil {
 		return err
 	}
 	reg.Gauge("transfer.stream_budget").Set(int64(r.tuner.budgetNow()))

@@ -3,9 +3,10 @@
 # benchmark module's vet and tests, and the race detector on the
 # concurrency-heavy packages (the observability tree with the continuous
 # profiler, the admin HTTP plane, the GridFTP engine with its marker
-# emitters and data-channel endpoint, the hosted transfer service, and the
-# network simulator), once more at GOMAXPROCS=1 for the GridFTP engine and
-# the transfer service.
+# emitters and data-channel endpoint, the hosted transfer service, the
+# network simulator, and the three-process integration tests whose session
+# pairs negotiate both legs concurrently), once more at GOMAXPROCS=1 for the
+# GridFTP engine, the transfer service and the integration tests.
 #
 # Usage: ./scripts/check.sh [extra go-test args]
 set -eu
@@ -33,7 +34,7 @@ go test "$@" ./...
 echo "==> perfbench: go vet ./... && go test ./..."
 (cd perfbench && go vet ./... && go test "$@" ./...)
 
-echo "==> go test -race (obs tree, admin, gridftp, xio, transfer, netsim, usagestats)"
+echo "==> go test -race (obs tree, admin, gridftp, xio, transfer, netsim, usagestats, integration)"
 go test -race "$@" \
 	./internal/obs/... \
 	./internal/admin/ \
@@ -41,11 +42,12 @@ go test -race "$@" \
 	./internal/xio/ \
 	./internal/transfer/ \
 	./internal/netsim/ \
-	./internal/usagestats/
+	./internal/usagestats/ \
+	./internal/integration/
 
 # One P and repeated runs reorder the data-channel accept pumps, the
 # handshake goroutines and the receive's seal against each other.
-echo "==> GOMAXPROCS=1 go test -race -count=3 (gridftp, transfer)"
-GOMAXPROCS=1 go test -race -count=3 "$@" ./internal/gridftp/ ./internal/transfer/
+echo "==> GOMAXPROCS=1 go test -race -count=3 (gridftp, transfer, integration)"
+GOMAXPROCS=1 go test -race -count=3 "$@" ./internal/gridftp/ ./internal/transfer/ ./internal/integration/
 
 echo "OK"
