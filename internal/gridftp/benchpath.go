@@ -29,6 +29,7 @@ func SendBenchBlocks(conn net.Conn, totalBytes int64, blockSize int, fast bool) 
 		buf := pool.Lease()
 		defer pool.Release(buf)
 		bw := newBlockWriter(conn, blockSize)
+		defer bw.release()
 		if err := bw.writeBlock(DescEOF, 0, 1, nil); err != nil {
 			return err
 		}

@@ -240,20 +240,6 @@ func (c *Client) SetBlockSize(n int) error {
 	return nil
 }
 
-// Allocate announces the size of the next upload (ALLO, RFC 959) so the
-// server can preallocate the destination file. Best-effort: a server that
-// refuses ALLO costs nothing but the round trip.
-func (c *Client) Allocate(size int64) {
-	if size <= 0 {
-		return
-	}
-	c.countCommand("ALLO")
-	if err := c.ctrl.Cmd("ALLO", "%d", size); err != nil {
-		return
-	}
-	c.ctrl.ReadFinalReply(nil)
-}
-
 // SetMode switches between stream (S) and extended block (E) mode.
 func (c *Client) SetMode(m TransferMode) error {
 	if _, err := c.cmdExpect("MODE", string(rune(m)), ftp.CodeOK); err != nil {
@@ -360,6 +346,69 @@ func (c *Client) sendRestart() ([]Range, error) {
 	return ranges, nil
 }
 
+// storPrologue is what an upload batches ahead of its STOR: ALLO and
+// REST, whose final replies arrive before STOR's.
+type storPrologue struct {
+	c *Client
+	// allo and rest are set while the command's reply is unread.
+	allo, rest bool
+	restarted  bool
+}
+
+// sendStor opens an upload in one flush: ALLO size when the size is
+// known, so the server's storage preallocates once instead of
+// grow-copying per block; REST when restart ranges are given, immediately
+// before the transfer command as RFC 959 requires; then STOR path. The
+// returned prologue reads the replies to ALLO and REST; STOR's follow.
+func (c *Client) sendStor(path string, size int64, restart []Range) (*storPrologue, error) {
+	pro := &storPrologue{c: c, allo: size > 0, rest: len(restart) > 0}
+	var cmds []ftp.Command
+	add := func(name, params string) {
+		c.countCommand(name)
+		cmds = append(cmds, ftp.Command{Name: name, Params: params})
+	}
+	if pro.allo {
+		add("ALLO", strconv.FormatInt(size, 10))
+	}
+	if pro.rest {
+		add("REST", FromRanges(restart).Marker())
+	}
+	add("STOR", path)
+	return pro, c.ctrl.WriteCommands(cmds...)
+}
+
+// read reads the prologue's unread replies (none on a nil prologue) and
+// reports whether the server took REST. A refused ALLO is ignored: the
+// size is only a hint. A server that refuses REST stores the whole file.
+func (p *storPrologue) read() (restarted bool, err error) {
+	if p == nil {
+		return false, nil
+	}
+	if p.allo {
+		if _, err := p.c.ctrl.ReadFinalReply(nil); err != nil {
+			return false, err
+		}
+		p.allo = false
+	}
+	if p.rest {
+		r, err := p.c.ctrl.ReadFinalReply(nil)
+		if err != nil {
+			return false, err
+		}
+		p.rest, p.restarted = false, r.Code == ftp.CodeNeedAccount
+	}
+	return p.restarted, nil
+}
+
+// finalReply reads the final reply of a transfer command sent after
+// prologue (nil when none), handing preliminary replies to onPrelim.
+func (c *Client) finalReply(prologue *storPrologue, onPrelim func(ftp.Reply)) (ftp.Reply, error) {
+	if _, err := prologue.read(); err != nil {
+		return ftp.Reply{}, err
+	}
+	return c.ctrl.ReadFinalReply(onPrelim)
+}
+
 // passive puts the server in passive mode and returns the data address.
 func (c *Client) passive() ([]string, error) {
 	r, err := c.cmdExpect("PASV", "", ftp.CodeEnteringPassive)
@@ -398,11 +447,12 @@ func (c *Client) Passive(striped bool) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	// PASV resets the server's data state (it closes listeners and
-	// flushes both its channel pools), so mirror that here: any channels
-	// we still hold are now stale on the far end. Keeping the pools in
-	// lockstep is what makes channel caching safe.
-	c.reset()
+	// PASV replaces the server's listeners and closes the channels it
+	// accepted on them, which are the ones this end dialed: drop those
+	// and the old addresses. Channels the server dialed to this end stay
+	// warm on both ends. Keeping the pools in lockstep is what makes
+	// channel caching safe.
+	c.dialTo(nil)
 	return addrs, nil
 }
 
@@ -418,8 +468,9 @@ func (c *Client) Port(addrs []string) error {
 	if err != nil {
 		return err
 	}
-	// PORT, like PASV, resets the server's data state.
-	c.reset()
+	// PORT replaces the server's dial targets and closes the channels it
+	// dialed to the old ones, which are the ones this end accepted.
+	c.flushAccepted()
 	return nil
 }
 
@@ -434,7 +485,7 @@ func (c *Client) ensurePassive() error {
 	if err != nil {
 		return err
 	}
-	c.targets = addrs
+	c.dialTo(addrs)
 	return nil
 }
 
@@ -562,91 +613,102 @@ func (c *Client) Put(path string, src dsi.File) (*TransferStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	restart, err := c.sendRestart()
-	if err != nil {
-		return nil, err
-	}
-	ranges := []Range{{0, size}}
-	if len(restart) > 0 {
-		ranges = FromRanges(restart).Missing(size)
-	}
-
+	restart := c.restart
+	c.restart = nil
 	start := time.Now()
 	c.resetPerf()
-	// Tell the server how big the destination will be so its storage
-	// preallocates once instead of grow-copying per block.
-	c.Allocate(size)
-	var lastMarkers []Range
 	if c.spec.Mode == ModeStream {
+		// Stream mode keeps RFC 959's rule that the last of PASV/PORT
+		// wins, so every stream upload negotiates PASV afresh.
 		c.reset()
-		if err := c.ensurePassive(); err != nil {
-			return nil, err
-		}
-		c.countCommand("STOR")
-		if err := c.ctrl.Cmd("STOR", "%s", path); err != nil {
-			return nil, err
-		}
-		chans, err := c.establish(1, c.setup())
-		if err != nil {
-			c.ctrl.ReadFinalReply(nil)
-			return nil, err
-		}
-		from := int64(0)
-		if len(restart) == 1 && restart[0].Start == 0 {
-			from = restart[0].End
-		}
-		sendErr := sendStream(chans[0].sec, src, from, size, c.spec.BlockSize)
-		closeChannels(chans)
-		r, rerr := c.ctrl.ReadFinalReply(func(p ftp.Reply) {
-			if ranges := c.handlePreliminary(p); ranges != nil {
-				lastMarkers = ranges
-			}
-		})
-		if sendErr != nil {
-			return &TransferStats{Markers: lastMarkers}, sendErr
-		}
-		if rerr != nil {
-			return &TransferStats{Markers: lastMarkers}, rerr
-		}
-		if err := r.Err(); err != nil {
-			return &TransferStats{Markers: lastMarkers}, err
-		}
-		return &TransferStats{Bytes: size - totalLen(restart), Duration: time.Since(start), Markers: lastMarkers}, nil
 	}
-
 	if len(c.pooledDialed) != c.spec.Parallelism {
 		if err := c.ensurePassive(); err != nil {
 			return nil, err
 		}
 	}
-	c.countCommand("STOR")
-	if err := c.ctrl.Cmd("STOR", "%s", path); err != nil {
+	prologue, err := c.sendStor(path, size, restart)
+	if err != nil {
 		return nil, err
 	}
-	err = c.sendWithReplies(src, ranges, func(rs []Range) { lastMarkers = rs })
+	ranges := []Range{{0, size}}
+	from := int64(0)
+	if len(restart) > 0 {
+		// What to send depends on whether the server took REST. Without
+		// a restart the data goes out before ALLO's reply is read.
+		restarted, err := prologue.read()
+		if err != nil {
+			return nil, err
+		}
+		if restarted {
+			ranges = FromRanges(restart).Missing(size)
+			if len(restart) == 1 && restart[0].Start == 0 {
+				from = restart[0].End
+			}
+		}
+	}
+	var lastMarkers []Range
+	onMarker := func(rs []Range) { lastMarkers = rs }
+	if c.spec.Mode == ModeStream {
+		err = c.sendStreamWithReplies(src, from, size, prologue, onMarker)
+		if err != nil {
+			return &TransferStats{Markers: lastMarkers}, err
+		}
+		return &TransferStats{Bytes: size - from, Duration: time.Since(start), Markers: lastMarkers}, nil
+	}
+	err = c.sendWithReplies(src, ranges, prologue, onMarker)
 	if err != nil {
 		return &TransferStats{Markers: lastMarkers}, err
 	}
 	return &TransferStats{Bytes: totalLen(ranges), Duration: time.Since(start), Markers: lastMarkers}, nil
 }
 
-// sendWithReplies runs one MODE E upload whose STOR is already sent: it
-// establishes (or reuses) the channels, sends ranges of src and reads the
-// final reply, passing restart markers to onMarker (nil = ignore). The
-// error is the send's, else the control channel's, else the final
-// reply's.
-func (c *Client) sendWithReplies(src dsi.File, ranges []Range, onMarker func([]Range)) error {
-	chans, err := c.establish(c.spec.Parallelism, c.setup())
+// sendStreamWithReplies runs one stream-mode upload whose STOR is already
+// sent: it sends src from offset from over one fresh channel and reads
+// the final reply, passing restart markers to onMarker. The error is the
+// send's, else the control channel's, else the final reply's.
+func (c *Client) sendStreamWithReplies(src dsi.File, from, size int64, prologue *storPrologue, onMarker func([]Range)) error {
+	onPrelim := func(p ftp.Reply) {
+		if rs := c.handlePreliminary(p); rs != nil {
+			onMarker(rs)
+		}
+	}
+	chans, err := c.establish(1, c.setup(), true)
+	if err != nil {
+		c.finalReply(prologue, nil)
+		return err
+	}
+	err = sendStream(chans[0].sec, src, from, size, c.spec.BlockSize)
+	closeChannels(chans)
+	r, rerr := c.finalReply(prologue, onPrelim)
+	if err == nil {
+		err = rerr
+	}
+	if err == nil {
+		err = r.Err()
+	}
+	return err
+}
+
+// sendWithReplies runs one MODE E upload whose STOR is already sent
+// after prologue (nil when none): it establishes (or reuses) the
+// channels, sends ranges of src and reads the final reply, passing
+// restart markers to onMarker (nil = ignore). The error is the send's,
+// else the control channel's, else the final reply's.
+func (c *Client) sendWithReplies(src dsi.File, ranges []Range, prologue *storPrologue, onMarker func([]Range)) error {
+	chans, err := c.establish(c.spec.Parallelism, c.setup(), true)
 	if err != nil {
 		// The server is waiting for a transfer that will not happen; it
-		// will time out its accept and report 425/426.
-		c.ctrl.ReadFinalReply(nil)
+		// will time out its accept and report 425/426. Renegotiate both
+		// directions before the next transfer.
+		c.finalReply(prologue, nil)
+		c.reset()
 		return err
 	}
 	sent := c.obs.Registry().Counter("gridftp.client.bytes_sent")
 	t := c.streams.Begin(c.task, "put")
 	err = send(t, chans, src, ranges, c.spec.BlockSize, func(_ int, n int64) { sent.Add(n) })
-	r, rerr := c.ctrl.ReadFinalReply(func(p ftp.Reply) {
+	r, rerr := c.finalReply(prologue, func(p ftp.Reply) {
 		if rs := c.handlePreliminary(p); rs != nil && onMarker != nil {
 			onMarker(rs)
 		}
@@ -658,8 +720,8 @@ func (c *Client) sendWithReplies(src dsi.File, ranges []Range, onMarker func([]R
 		err = r.Err()
 	}
 	if err = c.retire(t, chans, c.spec.Mode, err); err != nil {
-		// The server may have pooled channels this end just closed; the
-		// PASV of the next upload resets it.
+		// The server flushed both its pools; forget the targets too, so
+		// the next transfer in each direction renegotiates.
 		c.reset()
 	}
 	return err
@@ -694,7 +756,7 @@ func (c *Client) retrieve(verb, params string, restart []Range, dst dsi.File) (*
 		if err := c.ctrl.Cmd(verb, "%s", params); err != nil {
 			return nil, err
 		}
-		chans, err := c.establish(1, c.setup())
+		chans, err := c.establish(1, c.setup(), false)
 		if err != nil {
 			c.ctrl.ReadFinalReply(nil)
 			return nil, err
@@ -788,7 +850,11 @@ func (c *Client) recvWithReplies(dst dsi.File, received *RangeSet) error {
 	if err == nil {
 		err = res.Err
 	}
-	return in.end(err)
+	if err = in.end(err); err != nil {
+		// As after a failed upload: both ends flushed, renegotiate.
+		c.reset()
+	}
+	return err
 }
 
 // --- Simple file operations ---
@@ -861,7 +927,7 @@ func (c *Client) List(path string) ([]string, error) {
 	if err := c.ctrl.Cmd("MLSD", "%s", path); err != nil {
 		return nil, err
 	}
-	chans, err := c.establish(1, c.setup())
+	chans, err := c.establish(1, c.setup(), true)
 	if err != nil {
 		c.ctrl.ReadFinalReply(nil)
 		return nil, err

@@ -74,9 +74,9 @@ func (sess *session) handlePort(params string, striped bool) {
 			return
 		}
 	}
-	// Like PASV, PORT replaces all data state.
-	sess.dataEndpoint.close()
-	sess.targets = addrs
+	// PORT replaces only the dial targets and the channels dialed to
+	// them: the listeners and their accepted channels still serve STOR.
+	sess.dialTo(addrs)
 	sess.reply(ftp.CodeOK, "Data address(es) accepted")
 }
 
@@ -139,8 +139,14 @@ func (sess *session) handleRetr(params string, off, length int64) {
 
 	sess.cmdSpan.SetAttr("path", p)
 	sess.cmdSpan.SetAttr("size", size)
+	// In MODE E the sender connects, so RETR dials whenever PORT/SPOR
+	// gave targets; in stream mode the last of PASV/PORT decides.
+	dial := sess.portLast
+	if sess.spec.Mode == ModeExtended {
+		dial = len(sess.targets) > 0
+	}
 	est := sess.cmdSpan.Child("gridftp.data.establish")
-	chans, err := sess.establish(sess.spec.Parallelism, sess.setup())
+	chans, err := sess.establish(sess.spec.Parallelism, sess.setup(), dial)
 	est.SetError(err)
 	est.End()
 	if err != nil {
@@ -213,7 +219,7 @@ func (sess *session) handleStor(params string) {
 	sess.cmdSpan.SetAttr("path", p)
 	if sess.spec.Mode == ModeStream {
 		est := sess.cmdSpan.Child("gridftp.data.establish")
-		chans, err := sess.establish(1, sess.setup())
+		chans, err := sess.establish(1, sess.setup(), sess.portLast)
 		est.SetError(err)
 		est.End()
 		if err != nil {
@@ -303,7 +309,7 @@ func (sess *session) handleMlsd(params string) {
 		return
 	}
 	sess.flush() // MLSD never reuses transfer channels
-	chans, err := sess.establish(1, sess.setup())
+	chans, err := sess.establish(1, sess.setup(), sess.portLast)
 	if err != nil {
 		sess.reply(ftp.CodeCantOpenData, errText(err))
 		return

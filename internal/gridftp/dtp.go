@@ -106,6 +106,7 @@ func sendModeE(conns []net.Conn, f dsi.File, ranges []Range, blockSize int, onBy
 			buf := pool.Lease()
 			defer pool.Release(buf)
 			bw := newBlockWriter(conn, blockSize)
+			defer bw.release()
 			if i == 0 {
 				if err := bw.writeBlock(DescEOF, 0, uint64(len(conns)), nil); err != nil {
 					errCh <- fmt.Errorf("gridftp: send EOF block: %w", err)

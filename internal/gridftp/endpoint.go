@@ -60,6 +60,12 @@ type channelSetup struct {
 // see the same negotiation commands, so their pools flush in lockstep and
 // a pooled channel is reused only while both ends agree it is valid.
 //
+// In MODE E the sender connects, so each direction has its own state: the
+// listeners and the accepted pool carry uploads to the listening end, the
+// targets and the dialed pool carry downloads from it. PASV/SPAS replaces
+// only the former and PORT/SPOR only the latter, so a session that
+// alternates GET and PUT keeps one warm channel set per direction.
+//
 // Only the owner's goroutine changes the fields; accept pumps and
 // handshake goroutines reach the endpoint through values captured when
 // they start.
@@ -75,6 +81,10 @@ type dataEndpoint struct {
 
 	listeners []net.Listener
 	targets   []string
+	// portLast records whether the targets were set after the listeners
+	// opened: stream-mode transfers and MLSD follow RFC 959, where the
+	// last of PASV/PORT decides the TCP role.
+	portLast bool
 	// acceptCh/acceptErr are fed by one pump goroutine per listener. A
 	// single owner per listener is essential: per-transfer Accept
 	// goroutines would race and strand connections in abandoned channels
@@ -87,13 +97,24 @@ type dataEndpoint struct {
 	pooledDialed   []*dataChannel
 }
 
-// flush closes every pooled channel; called whenever the data channel
-// parameters (mode, parallelism, protection, DCSC) change.
-func (e *dataEndpoint) flush() {
+// flushAccepted closes the pooled channels this end accepted.
+func (e *dataEndpoint) flushAccepted() {
 	closeChannels(e.pooledAccepted)
-	closeChannels(e.pooledDialed)
 	e.pooledAccepted = nil
+}
+
+// flushDialed closes the pooled channels this end dialed.
+func (e *dataEndpoint) flushDialed() {
+	closeChannels(e.pooledDialed)
 	e.pooledDialed = nil
+}
+
+// flush closes every pooled channel; called whenever the data channel
+// parameters (mode, parallelism, protection, DCSC, delegation) change and
+// after a failed transfer.
+func (e *dataEndpoint) flush() {
+	e.flushAccepted()
+	e.flushDialed()
 }
 
 // reset flushes the pools and forgets the dial targets, so the next
@@ -103,9 +124,17 @@ func (e *dataEndpoint) reset() {
 	e.targets = nil
 }
 
-// close tears down all data state: pools, dial targets and listeners.
-func (e *dataEndpoint) close() {
-	e.reset()
+// dialTo replaces the dial targets and flushes the dialed pool, whose
+// channels lead to the old ones. The listeners and the accepted pool stay.
+func (e *dataEndpoint) dialTo(addrs []string) {
+	e.flushDialed()
+	e.targets = addrs
+	e.portLast = true
+}
+
+// closeListeners closes the listeners and flushes the accepted pool.
+func (e *dataEndpoint) closeListeners() {
+	e.flushAccepted()
 	for _, l := range e.listeners {
 		l.Close()
 	}
@@ -113,15 +142,23 @@ func (e *dataEndpoint) close() {
 	e.acceptCh, e.acceptErr = nil, nil
 }
 
-// listen replaces all data state with one listener per host, starts their
-// accept pumps and returns their addresses.
+// close tears down all data state: pools, dial targets and listeners.
+func (e *dataEndpoint) close() {
+	e.reset()
+	e.closeListeners()
+}
+
+// listen replaces the listeners with one per host, starts their accept
+// pumps and returns their addresses. It flushes the accepted pool; the
+// dial targets and the dialed pool stay.
 func (e *dataEndpoint) listen(hosts []*netsim.Host) ([]string, error) {
-	e.close()
+	e.closeListeners()
+	e.portLast = false
 	addrs := make([]string, 0, len(hosts))
 	for _, h := range hosts {
 		l, err := h.Listen(0)
 		if err != nil {
-			e.close()
+			e.closeListeners()
 			return nil, err
 		}
 		e.listeners = append(e.listeners, l)
@@ -193,18 +230,18 @@ func secure(raw net.Conn, acceptor bool, s channelSetup) (*dataChannel, error) {
 }
 
 // establish produces n secured channels for a transfer this end starts,
-// reusing the pool of the matching TCP role when it holds exactly n. With
-// dial targets all n connect and handshake concurrently; otherwise they
-// are accepted off the listeners one at a time and secured concurrently.
-// Either way n channels cost one handshake latency, not n.
-func (e *dataEndpoint) establish(n int, s channelSetup) ([]*dataChannel, error) {
-	acceptor := len(e.targets) == 0
-	if acceptor && len(e.listeners) == 0 {
-		return nil, errors.New("no data channel established (use PASV/SPAS or PORT/SPOR)")
+// dialing the targets when dial is set and accepting off the listeners
+// otherwise. It reuses the pool of that TCP role when it holds exactly n.
+// Dialed channels connect and handshake concurrently; accepted ones are
+// taken off the listeners one at a time and secured concurrently. Either
+// way n channels cost one handshake latency, not n.
+func (e *dataEndpoint) establish(n int, s channelSetup, dial bool) ([]*dataChannel, error) {
+	pool, ready := &e.pooledDialed, len(e.targets) > 0
+	if !dial {
+		pool, ready = &e.pooledAccepted, len(e.listeners) > 0
 	}
-	pool := &e.pooledDialed
-	if acceptor {
-		pool = &e.pooledAccepted
+	if !ready {
+		return nil, errors.New("no data channel established (use PASV/SPAS or PORT/SPOR)")
 	}
 	if len(*pool) == n {
 		chans := *pool
@@ -215,7 +252,7 @@ func (e *dataEndpoint) establish(n int, s channelSetup) ([]*dataChannel, error) 
 	*pool = nil
 
 	var accept func(stop <-chan struct{}) (net.Conn, error)
-	if acceptor {
+	if !dial {
 		accept = e.acceptor()
 	}
 	chans := make([]*dataChannel, n)
@@ -224,7 +261,7 @@ func (e *dataEndpoint) establish(n int, s channelSetup) ([]*dataChannel, error) 
 	var wg sync.WaitGroup
 	for i := range chans {
 		var raw net.Conn
-		if acceptor {
+		if !dial {
 			var err error
 			if raw, err = accept(nil); err != nil {
 				failure = fmt.Errorf("accept data: %w", err)
@@ -234,7 +271,7 @@ func (e *dataEndpoint) establish(n int, s channelSetup) ([]*dataChannel, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if raw == nil {
+			if dial {
 				addr := e.targets[i%len(e.targets)]
 				c, err := e.dialFrom[i%len(e.dialFrom)].DialTransport(addr, s.spec.Transport)
 				if err != nil {
@@ -243,7 +280,7 @@ func (e *dataEndpoint) establish(n int, s channelSetup) ([]*dataChannel, error) 
 				}
 				raw = c
 			}
-			chans[i], errs[i] = secure(raw, acceptor, s)
+			chans[i], errs[i] = secure(raw, !dial, s)
 		}()
 	}
 	wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,60 +13,82 @@ import (
 	"gridftp.dev/instant/internal/netsim"
 )
 
-// TestChannelReuseConnectionCount pins how many data connections one MODE
-// E session opens as it alternates directions and renegotiates: each run
-// of same-direction transfers reuses one set of p channels, a direction
-// change (PASV after PORT or back) opens a fresh set, and so does a DCAU
-// change. The count is what the benchmark's netsim.conns_per_file
-// reports, so a change to channel caching shows up here first.
-func TestChannelReuseConnectionCount(t *testing.T) {
+// transferChecker moves files over one session and checks every byte,
+// counting the data connections opened on the laptop–site link.
+type transferChecker struct {
+	t        *testing.T
+	nw       *netsim.Network
+	s        *site
+	c        *Client
+	payloads map[string][]byte
+}
+
+func newTransferChecker(t *testing.T, parallelism int, cfgMut ...func(*ServerConfig)) *transferChecker {
+	t.Helper()
 	nw := netsim.NewNetwork()
-	s := newSite(t, nw, "siteA")
+	s := newSite(t, nw, "siteA", cfgMut...)
 	c := s.connect(t, nw.Host("laptop"), true)
-	if err := c.SetParallelism(2); err != nil {
+	if err := c.SetParallelism(parallelism); err != nil {
 		t.Fatal(err)
 	}
-	conns := func() int64 { return nw.LinkStats("laptop", "siteA").Conns }
-	before := conns()
+	return &transferChecker{t: t, nw: nw, s: s, c: c, payloads: make(map[string][]byte)}
+}
 
-	payloads := make(map[string][]byte)
-	put := func(path string) {
-		t.Helper()
-		p := pattern(3*DefaultBlockSize + len(payloads)*4099)
-		payloads[path] = p
-		if _, err := c.Put(path, dsi.NewBufferFile(p)); err != nil {
-			t.Fatalf("put %s: %v", path, err)
-		}
-		if got := s.readFile(t, path); !bytes.Equal(got, p) {
-			t.Fatalf("put %s: stored content differs", path)
-		}
+func (tc *transferChecker) conns() int64 { return tc.nw.LinkStats("laptop", "siteA").Conns }
+
+// put uploads a fresh payload to path and checks the stored bytes.
+func (tc *transferChecker) put(path string, size int) {
+	tc.t.Helper()
+	p := pattern(size)
+	tc.payloads[path] = p
+	if _, err := tc.c.Put(path, dsi.NewBufferFile(p)); err != nil {
+		tc.t.Fatalf("put %s: %v", path, err)
 	}
-	get := func(path string) {
-		t.Helper()
-		dst := dsi.NewBufferFile(nil)
-		if _, err := c.Get(path, dst); err != nil {
-			t.Fatalf("get %s: %v", path, err)
-		}
-		if !bytes.Equal(dst.Bytes(), payloads[path]) {
-			t.Fatalf("get %s: content differs", path)
-		}
+	if got := tc.s.readFile(tc.t, path); !bytes.Equal(got, p) {
+		tc.t.Fatalf("put %s: stored content differs", path)
+	}
+}
+
+// get downloads path and checks it against the payload put there.
+func (tc *transferChecker) get(path string) {
+	tc.t.Helper()
+	dst := dsi.NewBufferFile(nil)
+	if _, err := tc.c.Get(path, dst); err != nil {
+		tc.t.Fatalf("get %s: %v", path, err)
+	}
+	if !bytes.Equal(dst.Bytes(), tc.payloads[path]) {
+		tc.t.Fatalf("get %s: content differs", path)
+	}
+}
+
+// TestChannelReuseConnectionCount pins how many data connections one MODE
+// E session opens as it alternates directions and renegotiates. Each
+// direction keeps its own warm set of p channels: uploads reuse the
+// channels the client dialed to the server's PASV listener, downloads the
+// ones the server dialed to the client's PORT listener, and a direction
+// change touches neither. A DCAU change flushes both. The count is what
+// the benchmark's netsim.conns_per_file reports, so a change to channel
+// caching shows up here first.
+func TestChannelReuseConnectionCount(t *testing.T) {
+	tc := newTransferChecker(t, 2)
+	before := tc.conns()
+	for i := 0; i < 3; i++ {
+		tc.put(fmt.Sprintf("/p%d", i), 3*DefaultBlockSize+i*4099)
 	}
 	for i := 0; i < 3; i++ {
-		put(fmt.Sprintf("/p%d", i))
+		tc.get(fmt.Sprintf("/p%d", i))
 	}
-	for i := 0; i < 3; i++ {
-		get(fmt.Sprintf("/p%d", i))
-	}
-	put("/p3")
-	get("/p3")
-	if err := c.SetDCAU(DCAUNone); err != nil {
+	tc.put("/p3", 3*DefaultBlockSize+3*4099)
+	tc.get("/p3")
+	if err := tc.c.SetDCAU(DCAUNone); err != nil {
 		t.Fatal(err)
 	}
-	get("/p0")
+	tc.get("/p0")
 
-	// Five channel sets of two: PUT×3, GET×3, PUT, GET, GET after DCAU.
-	if got := conns() - before; got != 10 {
-		t.Fatalf("session opened %d data connections, want 10", got)
+	// Three channel sets of two: the first PUT, the first GET and the GET
+	// after DCAU; the PUT and GET after the switch back reuse theirs.
+	if got := tc.conns() - before; got != 6 {
+		t.Fatalf("session opened %d data connections, want 6", got)
 	}
 }
 
@@ -183,5 +206,138 @@ func TestCloseReportsQuitOutcome(t *testing.T) {
 	}
 	if err := fake("").Close(); err == nil {
 		t.Fatal("close without a QUIT reply returned nil")
+	}
+}
+
+// TestAlternatingTransfersKeepBothDirectionsWarm alternates PUT and GET
+// eight times at p=2: the first PUT and the first GET each open a channel
+// set, and every later transfer reuses its direction's set, so the
+// session opens exactly four data connections.
+func TestAlternatingTransfersKeepBothDirectionsWarm(t *testing.T) {
+	tc := newTransferChecker(t, 2)
+	before := tc.conns()
+	for i := 0; i < 4; i++ {
+		path := fmt.Sprintf("/alt%d", i)
+		tc.put(path, 2*DefaultBlockSize+i*1021)
+		tc.get(path)
+	}
+	if got := tc.conns() - before; got != 4 {
+		t.Fatalf("8 alternating transfers opened %d data connections, want 4", got)
+	}
+}
+
+// TestFailedTransferRenegotiatesBothDirections fails one upload (a
+// server-side storage fault) and one download (a client-side one) mid
+// stream, with both directions warm each time. Both ends flush both
+// pools on a failure, so the next PUT and the next GET each succeed on a
+// fresh set of channels instead of taking a channel the peer closed.
+func TestFailedTransferRenegotiatesBothDirections(t *testing.T) {
+	const p = 2
+	var faulty *dsi.FaultStorage
+	tc := newTransferChecker(t, p, func(cfg *ServerConfig) {
+		faulty = dsi.NewFaultStorage(cfg.Storage)
+		cfg.Storage = faulty
+	})
+	const size = 1 << 20
+	tc.put("/warm", 3*DefaultBlockSize)
+	tc.get("/warm")
+
+	// fresh runs op and checks that it opened exactly one new channel set.
+	fresh := func(name string, op func()) {
+		t.Helper()
+		before := tc.conns()
+		op()
+		if got := tc.conns() - before; got != p {
+			t.Fatalf("%s after a failure opened %d data connections, want %d", name, got, p)
+		}
+	}
+
+	faulty.Arm(size / 4)
+	if _, err := tc.c.Put("/fail-up", dsi.NewBufferFile(pattern(size))); err == nil {
+		t.Fatal("upload with a storage fault succeeded")
+	}
+	fresh("GET", func() { tc.get("/warm") })
+	fresh("PUT", func() { tc.put("/after-up", size) })
+
+	mem := dsi.NewMemStorage()
+	mem.AddUser("alice")
+	local := dsi.NewFaultStorage(mem)
+	local.Arm(size / 4)
+	dst, err := local.Create("alice", "/fail-down")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.c.Get("/after-up", dst); err == nil {
+		t.Fatal("download into a faulting file succeeded")
+	}
+	if faulty.Trips() != 1 || local.Trips() != 1 {
+		t.Fatalf("fault trips: server %d, client %d, want 1 each", faulty.Trips(), local.Trips())
+	}
+	fresh("PUT", func() { tc.put("/after-down", size) })
+	fresh("GET", func() { tc.get("/after-up") })
+}
+
+// spyListener accepts and counts connections on host, so a test can
+// prove a server never dialed an address it was given.
+func spyListener(t *testing.T, host *netsim.Host) (addr string, accepted func() int64) {
+	t.Helper()
+	l, err := host.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	var n atomic.Int64
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			n.Add(1)
+			conn.Close()
+		}
+	}()
+	return l.Addr().String(), n.Load
+}
+
+// TestStreamModeFollowsLastOfPasvAndPort checks RFC 959's rule for
+// stream-mode transfers and MLSD: after PORT then PASV the server
+// accepts on its listener, even though it still holds the PORT target.
+func TestStreamModeFollowsLastOfPasvAndPort(t *testing.T) {
+	tc := newTransferChecker(t, 1)
+	if err := tc.c.SetMode(ModeStream); err != nil {
+		t.Fatal(err)
+	}
+	spy, dialed := spyListener(t, tc.nw.Host("laptop"))
+	if err := tc.c.Port([]string{spy}); err != nil {
+		t.Fatal(err)
+	}
+	// Put and List each send PASV before their command.
+	tc.put("/stream.bin", 3*DefaultBlockSize+5)
+	entries, err := tc.c.List("/")
+	if err != nil {
+		t.Fatalf("MLSD after PORT then PASV: %v", err)
+	}
+	if len(entries) != 1 || !strings.HasSuffix(entries[0], " stream.bin") {
+		t.Fatalf("MLSD entries %q, want stream.bin", entries)
+	}
+	if n := dialed(); n != 0 {
+		t.Fatalf("server dialed the stale PORT target %d times", n)
+	}
+}
+
+// TestModeERetrAfterPasvThenPortDials checks that in MODE E the sender
+// connects: after PASV then PORT, RETR dials the PORT target and leaves
+// the listener alone.
+func TestModeERetrAfterPasvThenPortDials(t *testing.T) {
+	tc := newTransferChecker(t, 2)
+	tc.put("/e.bin", 4*DefaultBlockSize+9)
+	if _, err := tc.c.Passive(false); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	tc.get("/e.bin") // sends PORT for the client's listener
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("RETR took %v: the server waited on its listener", d)
 	}
 }

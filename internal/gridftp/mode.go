@@ -153,13 +153,16 @@ type blockWriter struct {
 	vw   buffersWriter // non-nil: conn takes vectored writes natively
 	tcp  *net.TCPConn  // non-nil: net.Buffers reaches writev
 	buf  []byte        // coalescing buffer; len is the pending byte count
+	pool *BufferPool   // where buf came from and returns to
 	vecs [2][]byte     // backing array for vectored [hdr, payload] calls
 	hdr  [blockHeaderLen]byte
 }
 
-// newBlockWriter sizes the coalescing buffer so any block of the
+// newBlockWriter leases the coalescing buffer, sized so any block of the
 // negotiated size can be flushed as one write even on plain io.Writer
-// connections (TLS: one record instead of two).
+// connections (TLS: one record instead of two). Small-file workloads open
+// a writer per stream per file, so the buffer comes from a pool rather
+// than a fresh block-sized allocation; release returns it.
 func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
 	bw := &blockWriter{w: w}
 	bw.vw, _ = w.(buffersWriter)
@@ -168,8 +171,17 @@ func newBlockWriter(w io.Writer, blockSize int) *blockWriter {
 	if blockSize+blockHeaderLen > capacity {
 		capacity = blockSize + blockHeaderLen
 	}
-	bw.buf = make([]byte, 0, capacity)
+	bw.pool = poolFor(capacity)
+	bw.buf = bw.pool.Lease()[:0]
 	return bw
+}
+
+// release returns the coalescing buffer to its pool; bw is unusable
+// afterwards. Every write has copied the buffer out by the time it
+// returns, so nothing else still refers to it.
+func (bw *blockWriter) release() {
+	bw.pool.Release(bw.buf)
+	bw.buf = nil
 }
 
 // flush writes any batched bytes as a single write.

@@ -78,7 +78,7 @@ func (c *Client) PutMany(items []PutItem) error {
 	for i, it := range items {
 		size, err := it.Src.Size()
 		if err == nil {
-			err = c.sendWithReplies(it.Src, []Range{{0, size}}, nil)
+			err = c.sendWithReplies(it.Src, []Range{{0, size}}, nil, nil)
 		}
 		if err != nil {
 			return fmt.Errorf("gridftp: pipelined put %d (%s): %w", i, it.Path, err)

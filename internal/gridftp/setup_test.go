@@ -3,7 +3,11 @@ package gridftp
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -207,5 +211,194 @@ func TestTraceRefusedMeansNotJoined(t *testing.T) {
 	}
 	if n := reg.Counter(obs.Name("gridftp.client.commands", "cmd=SITE")).Value(); n != 2 {
 		t.Errorf("gridftp.client.commands{cmd=SITE} = %d, want 2", n)
+	}
+}
+
+// recordingConn records each Write on a connection. ftp.Conn writes a
+// pipelined batch with one flush, so one Write is one batch.
+type recordingConn struct {
+	net.Conn
+	mu     sync.Mutex
+	writes []string
+}
+
+func (r *recordingConn) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	r.writes = append(r.writes, string(p))
+	r.mu.Unlock()
+	return r.Conn.Write(p)
+}
+
+// batchWith returns the one recorded write that contains cmd.
+func (r *recordingConn) batchWith(t *testing.T, cmd string) string {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var found []string
+	for _, w := range r.writes {
+		if strings.Contains(w, cmd) {
+			found = append(found, w)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("%d writes carry %q, want 1: %q", len(found), cmd, found)
+	}
+	return found[0]
+}
+
+// TestPutSendsAlloRestStorInOneFlush checks an upload's prologue on the
+// wire of a plaintext (GridFTP-Lite) control channel: ALLO, then REST
+// when a restart is armed, immediately followed by STOR, all in one
+// flush; and that the restarted upload moves only the missing bytes and
+// lands byte-exact.
+func TestPutSendsAlloRestStorInOneFlush(t *testing.T) {
+	nw := netsim.NewNetwork()
+	s := newSite(t, nw, "siteA")
+	l, err := s.host.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		s.server.ServeLite(conn, "alice")
+	}()
+	raw, err := nw.Host("laptop").Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := &recordingConn{Conn: raw}
+	c, err := DialLite(nw.Host("laptop"), wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	payload := pattern(200000)
+	if _, err := c.Put("/whole.bin", dsi.NewBufferFile(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := wire.batchWith(t, "STOR /whole.bin"), "ALLO 200000\r\nSTOR /whole.bin\r\n"; got != want {
+		t.Fatalf("upload batch %q, want %q", got, want)
+	}
+
+	s.putFile(t, "/r.bin", payload[:150000])
+	c.SetRestart([]Range{{0, 150000}})
+	stats, err := c.Put("/r.bin", dsi.NewBufferFile(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := wire.batchWith(t, "STOR /r.bin"), "ALLO 200000\r\nREST 0-150000\r\nSTOR /r.bin\r\n"; got != want {
+		t.Fatalf("restarted upload batch %q, want %q", got, want)
+	}
+	if stats.Bytes != 50000 {
+		t.Fatalf("restarted put moved %d bytes, want 50000", stats.Bytes)
+	}
+	if got := s.readFile(t, "/r.bin"); !bytes.Equal(got, payload) {
+		t.Fatal("content mismatch after restarted put")
+	}
+	if err := c.Noop(); err != nil {
+		t.Fatalf("session after the uploads: %v", err)
+	}
+}
+
+// preallocSpy records the sizes its created files are preallocated to.
+type preallocSpy struct {
+	dsi.Storage
+	mu    sync.Mutex
+	sizes []int64
+}
+
+func (s *preallocSpy) Create(user, p string) (dsi.File, error) {
+	f, err := s.Storage.Create(user, p)
+	if err != nil {
+		return nil, err
+	}
+	return &spyFile{File: f, spy: s}, nil
+}
+
+func (s *preallocSpy) recorded() []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]int64(nil), s.sizes...)
+}
+
+type spyFile struct {
+	dsi.File
+	spy *preallocSpy
+}
+
+func (f *spyFile) Preallocate(n int64) {
+	f.spy.mu.Lock()
+	f.spy.sizes = append(f.spy.sizes, n)
+	f.spy.mu.Unlock()
+	preallocate(f.File, n)
+}
+
+// TestThirdPartyPreallocatesDestination checks that ThirdPartyOptions.Size
+// reaches the destination's storage as one preallocation, and that the
+// only command it adds per file is the ALLO pipelined with STOR.
+func TestThirdPartyPreallocatesDestination(t *testing.T) {
+	nw := netsim.NewNetwork()
+	a := newSite(t, nw, "siteA")
+	spy := &preallocSpy{}
+	b := newSite(t, nw, "siteB", func(cfg *ServerConfig) {
+		spy.Storage = cfg.Storage
+		cfg.Storage = spy
+	})
+	laptop := nw.Host("laptop")
+	src := a.connect(t, laptop, true)
+	proxy, err := gsi.NewProxy(b.user, gsi.ProxyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.Nop()
+	dst, err := DialWithOptions(laptop, b.addr, proxy, b.trust, DialOptions{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if err := dst.Delegate(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	dcsc := credWithRoot(t, a.user, a.ca)
+	commands := func() map[string]int64 {
+		n := make(map[string]int64)
+		for _, m := range o.Registry().Snapshot() {
+			if cmd, ok := strings.CutPrefix(m.Name, "gridftp.client.commands{cmd="); ok {
+				n[strings.TrimSuffix(cmd, "}")] = m.Value
+			}
+		}
+		return n
+	}
+
+	payload := pattern(300000)
+	a.putFile(t, "/src.bin", payload)
+	var perFile [2]map[string]int64
+	for i, size := range []int64{0, int64(len(payload))} {
+		before := commands()
+		dstPath := fmt.Sprintf("/dst%d.bin", i)
+		if _, err := ThirdParty(src, "/src.bin", dst, dstPath, ThirdPartyOptions{
+			DCSC: dcsc, DCSCTarget: DCSCDest, Size: size,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.readFile(t, dstPath); !bytes.Equal(got, payload) {
+			t.Fatalf("%s: content mismatch", dstPath)
+		}
+		perFile[i] = commands()
+		for cmd, v := range before {
+			perFile[i][cmd] -= v
+		}
+	}
+	if got := spy.recorded(); len(got) != 1 || got[0] != int64(len(payload)) {
+		t.Fatalf("destination preallocations %v, want [%d]", got, len(payload))
+	}
+	perFile[0]["ALLO"]++
+	if !maps.Equal(perFile[0], perFile[1]) {
+		t.Fatalf("commands per file without Size %v (ALLO added), with Size %v", perFile[0], perFile[1])
 	}
 }

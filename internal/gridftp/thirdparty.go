@@ -34,6 +34,11 @@ type ThirdPartyOptions struct {
 	// DCSC, when non-nil, is the credential installed per DCSCTarget.
 	DCSC       *gsi.Credential
 	DCSCTarget DCSCTarget
+	// Size, when positive, is the file's size: the destination gets it
+	// as ALLO in the same flush as its STOR, so its storage preallocates
+	// once instead of growing block by block. A restarted transfer
+	// resumes an existing file and sends no ALLO.
+	Size int64
 	// Restart seeds the transfer with already-received ranges.
 	Restart []Range
 	// OnMarker receives restart markers from the destination.
@@ -99,8 +104,12 @@ func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts T
 
 	// Issue STOR on the destination and RETR on the source; the replies
 	// stream back concurrently on the two control channels.
-	dst.countCommand("STOR")
-	if err := dst.ctrl.Cmd("STOR", "%s", dstPath); err != nil {
+	size := opts.Size
+	if len(opts.Restart) > 0 {
+		size = 0
+	}
+	prologue, err := dst.sendStor(dstPath, size, nil)
+	if err != nil {
 		return nil, err
 	}
 	src.countCommand("RETR")
@@ -114,7 +123,7 @@ func ThirdParty(src *Client, srcPath string, dst *Client, dstPath string, opts T
 	}
 	dstCh := make(chan final, 1)
 	go func() {
-		r, err := dst.ctrl.ReadFinalReply(func(p ftp.Reply) {
+		r, err := dst.finalReply(prologue, func(p ftp.Reply) {
 			if ranges := dst.handlePreliminary(p); ranges != nil {
 				lastMarkers = ranges
 				if opts.OnMarker != nil {

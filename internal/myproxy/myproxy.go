@@ -17,6 +17,7 @@ package myproxy
 
 import (
 	"bufio"
+	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -25,6 +26,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -102,24 +104,15 @@ func (s *Server) serve(raw net.Conn) {
 	if err != nil {
 		return
 	}
-	fields := strings.Fields(line)
-	if (len(fields) != 3 && len(fields) != 4) || fields[0] != "LOGON" {
-		fmt.Fprintf(tc, "ERR expected LOGON <user> <lifetime>\n")
+	req, err := parseLogon(line)
+	if err != nil {
+		fmt.Fprintf(tc, "ERR %s\n", err)
 		return
 	}
-	username := fields[1]
-	seconds, err := strconv.Atoi(fields[2])
-	if err != nil || seconds < 0 {
-		fmt.Fprintf(tc, "ERR bad lifetime\n")
-		return
-	}
-	// The optional fourth field carries the caller's traceparent. It is
-	// best-effort telemetry: a malformed value degrades to a fresh local
-	// trace rather than failing the logon.
-	var sc obs.SpanContext
-	if len(fields) == 4 {
-		sc, _ = obs.Extract(fields[3])
-	}
+	username := req.user
+	// The optional traceparent is best-effort telemetry: a malformed value
+	// degrades to a fresh local trace rather than failing the logon.
+	sc, _ := obs.Extract(req.traceparent)
 	span := s.Obs.Tracer().StartSpanContext("myproxy.logon", sc)
 	span.SetAttr("user", username)
 	defer span.End()
@@ -137,11 +130,7 @@ func (s *Server) serve(raw net.Conn) {
 		if err != nil {
 			return "", err
 		}
-		resp, ok := strings.CutPrefix(reply, "RESPONSE ")
-		if !ok {
-			return "", fmt.Errorf("myproxy: expected RESPONSE, got %q", reply)
-		}
-		return resp, nil
+		return parseResponse(reply)
 	}
 
 	// Authenticate before accepting a key: run PAM through the online CA
@@ -165,22 +154,12 @@ func (s *Server) serve(raw net.Conn) {
 	if err != nil {
 		return
 	}
-	keyB64, ok := strings.CutPrefix(line, "PUBKEY ")
-	if !ok {
-		fmt.Fprintf(tc, "ERR expected PUBKEY\n")
-		return
-	}
-	keyDER, err := base64.StdEncoding.DecodeString(keyB64)
+	pub, err := parsePubkey(line)
 	if err != nil {
-		fmt.Fprintf(tc, "ERR bad key encoding\n")
+		fmt.Fprintf(tc, "ERR %s\n", err)
 		return
 	}
-	pub, err := x509.ParsePKIXPublicKey(keyDER)
-	if err != nil {
-		fmt.Fprintf(tc, "ERR unparsable public key\n")
-		return
-	}
-	cred, err := s.OnlineCA.IssuePreauthed(acct.Name, pub, time.Duration(seconds)*time.Second)
+	cred, err := s.OnlineCA.IssuePreauthed(acct.Name, pub, req.lifetime)
 	if err != nil {
 		reg.Counter("myproxy.issue_failures").Inc()
 		span.SetError(err)
@@ -212,12 +191,87 @@ func traceEventKV(span *obs.Span, kv ...any) []any {
 	return kv
 }
 
+// maxLineLen bounds one protocol line. The longest legitimate one, the
+// CERT bundle, is a few KiB; the server reads LOGON before the client has
+// authenticated, so an unbounded read would let anyone hold its memory.
+const maxLineLen = 64 << 10
+
+var errLineTooLong = errors.New("myproxy: protocol line too long")
+
+// readLine reads one newline-terminated line of at most maxLineLen bytes
+// and strips the line ending.
 func readLine(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return "", err
+	var line []byte
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if len(line)+len(chunk) > maxLineLen {
+			return "", errLineTooLong
+		}
+		line = append(line, chunk...)
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if err != nil {
+			return "", err
+		}
+		return strings.TrimRight(string(line), "\r\n"), nil
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+}
+
+// logonRequest is a parsed LOGON line.
+type logonRequest struct {
+	user     string
+	lifetime time.Duration
+	// traceparent is the optional fourth field ("" when absent).
+	traceparent string
+}
+
+// maxLifetimeSeconds is the longest lifetime a time.Duration holds.
+const maxLifetimeSeconds = math.MaxInt64 / int64(time.Second)
+
+// parseLogon parses "LOGON <user> <lifetime-seconds> [traceparent]". Its
+// errors are the text of the server's ERR reply.
+func parseLogon(line string) (logonRequest, error) {
+	fields := strings.Fields(line)
+	if (len(fields) != 3 && len(fields) != 4) || fields[0] != "LOGON" {
+		return logonRequest{}, errors.New("expected LOGON <user> <lifetime>")
+	}
+	seconds, err := strconv.ParseInt(fields[2], 10, 64)
+	if err != nil || seconds < 0 || seconds > maxLifetimeSeconds {
+		return logonRequest{}, errors.New("bad lifetime")
+	}
+	req := logonRequest{user: fields[1], lifetime: time.Duration(seconds) * time.Second}
+	if len(fields) == 4 {
+		req.traceparent = fields[3]
+	}
+	return req, nil
+}
+
+// parseResponse parses "RESPONSE <text>", the client's answer to a PROMPT.
+func parseResponse(line string) (string, error) {
+	resp, ok := strings.CutPrefix(line, "RESPONSE ")
+	if !ok {
+		return "", fmt.Errorf("myproxy: expected RESPONSE, got %q", line)
+	}
+	return resp, nil
+}
+
+// parsePubkey parses "PUBKEY <base64 PKIX DER>". Its errors are the text
+// of the server's ERR reply.
+func parsePubkey(line string) (crypto.PublicKey, error) {
+	keyB64, ok := strings.CutPrefix(line, "PUBKEY ")
+	if !ok {
+		return nil, errors.New("expected PUBKEY")
+	}
+	keyDER, err := base64.StdEncoding.DecodeString(keyB64)
+	if err != nil {
+		return nil, errors.New("bad key encoding")
+	}
+	pub, err := x509.ParsePKIXPublicKey(keyDER)
+	if err != nil {
+		return nil, errors.New("unparsable public key")
+	}
+	return pub, nil
 }
 
 // LogonOptions configure a client logon.

@@ -1,6 +1,9 @@
 package myproxy
 
 import (
+	"bufio"
+	"crypto/tls"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -186,4 +189,49 @@ func pubkeyOf(t *testing.T) interface{} {
 		t.Fatal(err)
 	}
 	return &cred.Key.PublicKey
+}
+
+// rawLogon opens a TLS session to the server and sends line, then
+// returns the server's first reply line (or the read error).
+func rawLogon(t *testing.T, nw *netsim.Network, addr string, trust *gsi.TrustStore, line string) (string, error) {
+	t.Helper()
+	raw, err := nw.Host("laptop").Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	tc := tls.Client(raw, gsi.ClientTLSConfig(nil, trust))
+	if err := tc.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	go io.WriteString(tc, line) // an over-long line may never be read in full
+	return readLine(bufio.NewReader(tc))
+}
+
+// TestLogonLifetimeOverflowRefused checks that a lifetime whose seconds
+// overflow time.Duration is refused instead of wrapping to a short one
+// (18446744074 s wraps to about 0.29 s).
+func TestLogonLifetimeOverflowRefused(t *testing.T) {
+	nw, _, addr, trust, _ := env(t)
+	for _, secs := range []string{"18446744074", "9223372037", "99999999999999999999"} {
+		reply, err := rawLogon(t, nw, addr, trust, "LOGON alice "+secs+"\n")
+		if err != nil || reply != "ERR bad lifetime" {
+			t.Errorf("LOGON with %s s: %q, %v; want ERR bad lifetime", secs, reply, err)
+		}
+	}
+}
+
+// TestLogonLineLengthCapped checks that the server stops reading a
+// pre-authentication line at maxLineLen and hangs up rather than
+// buffering it whole.
+func TestLogonLineLengthCapped(t *testing.T) {
+	nw, _, addr, trust, _ := env(t)
+	reply, err := rawLogon(t, nw, addr, trust, "LOGON "+strings.Repeat("a", 2*maxLineLen)+" 60\n")
+	if err == nil {
+		t.Fatalf("over-long LOGON line answered %q, want the connection closed", reply)
+	}
+	reply, err = rawLogon(t, nw, addr, trust, "LOGON "+strings.Repeat("a", 1000)+" 60\n")
+	if err != nil || !strings.HasPrefix(reply, "PROMPT ") {
+		t.Fatalf("LOGON under the cap: %q, %v; want a PROMPT", reply, err)
+	}
 }

@@ -508,6 +508,7 @@ func (s *Service) transferOne(r workerRun, pair *sessionPair, i int) error {
 	already := gridftp.FromRanges(restart).Covered()
 	latest := restart
 	opts := gridftp.ThirdPartyOptions{
+		Size:    f.size,
 		Restart: restart,
 		OnMarker: func(rs []gridftp.Range) {
 			latest = rs

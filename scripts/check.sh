@@ -8,7 +8,11 @@
 # pairs negotiate both legs concurrently), once more at GOMAXPROCS=1 for the
 # GridFTP engine, the transfer service and the integration tests.
 #
-# Usage: ./scripts/check.sh [extra go-test args]
+# Setting CHECK_CONTENTION=N adds an opt-in stage that runs the packages
+# whose tests have flaked under load N times at GOMAXPROCS=1, four test
+# binaries at once; the default run does not include it.
+#
+# Usage: [CHECK_CONTENTION=N] ./scripts/check.sh [extra go-test args]
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -49,5 +53,13 @@ go test -race "$@" \
 # handshake goroutines and the receive's seal against each other.
 echo "==> GOMAXPROCS=1 go test -race -count=3 (gridftp, transfer, integration)"
 GOMAXPROCS=1 go test -race -count=3 "$@" ./internal/gridftp/ ./internal/transfer/ ./internal/integration/
+
+if [ -n "${CHECK_CONTENTION:-}" ]; then
+	echo "==> GOMAXPROCS=1 go test -count=$CHECK_CONTENTION -p 4 (contention: baseline, myproxy, integration, gridftp)"
+	# A cached pass from an earlier run says nothing about this one.
+	go clean -testcache
+	GOMAXPROCS=1 go test -count="$CHECK_CONTENTION" -p 4 "$@" \
+		./internal/baseline/ ./internal/myproxy/ ./internal/integration/ ./internal/gridftp/
+fi
 
 echo "OK"
